@@ -430,12 +430,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     solver_opts = parser.add_argument_group("solver options")
     solver_opts.add_argument(
-        "--backend",
-        default=None,
-        help="kernel backend for the game solver (auto/reference/fused/...; "
-        "defaults to the REPRO_BACKEND environment variable, then auto)",
-    )
-    solver_opts.add_argument(
         "--warm-start",
         action="store_true",
         help="seed solves from the nearest cached equilibrium; faster on "
@@ -535,21 +529,9 @@ def main(argv: list[str] | None = None) -> int:
     config = PRESETS[args.preset]()
     if args.seed is not None:
         config = config.with_updates(seed=args.seed)
-    if args.backend is not None or args.warm_start:
-        if args.backend is not None:
-            from repro.kernels import get_backend
-
-            try:
-                get_backend(args.backend)
-            except ValueError as exc:
-                parser.error(str(exc))
-        solver_changes: dict[str, Any] = {}
-        if args.backend is not None:
-            solver_changes["backend"] = args.backend
-        if args.warm_start:
-            solver_changes["warm_start"] = True
+    if args.warm_start:
         config = config.with_updates(
-            solver=replace(config.solver, **solver_changes)
+            solver=replace(config.solver, warm_start=True)
         )
     if args.json is not None:
         args.json.mkdir(parents=True, exist_ok=True)

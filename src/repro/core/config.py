@@ -235,35 +235,35 @@ class DetectionConfig:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Execution strategy for the scheduling-game solver.
+    """Equilibrium warm-starting for the scheduling-game solver.
 
-    Nothing here changes *what* is solved — only how fast.  ``backend``
-    picks the kernel implementation (all registered backends are
-    bitwise-identical; see :mod:`repro.kernels`), ``batch_games`` turns
-    on lockstep batching of independent solves
-    (:func:`repro.scheduling.batch.solve_games`, also bitwise-identical
-    to the sequential loop).  ``warm_start`` is the one knob that *does*
-    change results: solves are seeded from the nearest cached
-    equilibrium (within ``warm_start_max_distance`` in max-abs price
-    gap) with the CE sampling density narrowed by ``ce_warm_std_scale``.
-    Warm solutions live in their own cache namespace, so enabling it
-    never contaminates cold-start (golden) results, and runs stay
-    deterministic given the cache state.
+    With ``warm_start`` off (the default) every solve starts cold.  On,
+    solves are seeded from the nearest cached equilibrium (within
+    ``warm_start_max_distance`` in max-abs price gap) with the CE
+    sampling density narrowed by ``ce_warm_std_scale``; this changes
+    results.  Warm solutions live in their own cache namespace, so
+    enabling it never contaminates cold-start (golden) results, and runs
+    stay deterministic given the cache state.
     """
 
-    backend: str = "auto"
-    batch_games: bool = True
     warm_start: bool = False
     warm_start_max_distance: float = 0.05
     ce_warm_std_scale: float = 0.25
 
     def __post_init__(self) -> None:
-        if not self.backend:
-            raise ConfigError("backend must be a non-empty name or 'auto'")
         if self.warm_start_max_distance < 0:
             raise ConfigError("warm_start_max_distance must be >= 0")
         if not 0 < self.ce_warm_std_scale <= 1:
             raise ConfigError("ce_warm_std_scale must be in (0, 1]")
+
+
+_RETIRED_SOLVER_FIELDS: dict[str, Any] = {"backend": "auto", "batch_games": True}
+"""Retired ``SolverConfig`` fields and the values every run now has.
+
+The kernel-backend choice and the lockstep-batching switch are gone
+(one game solver and one kernel set remain).  :func:`config_to_dict`
+still writes them, so every config fingerprint stays byte-stable, and
+:func:`config_from_dict` drops them from any payload."""
 
 
 @dataclass(frozen=True)
@@ -392,8 +392,11 @@ def config_to_dict(config: CommunityConfig) -> dict[str, Any]:
     from the payload rather than serialized as ``null``: every config
     fingerprint computed before the tariff layer existed — golden-master
     ``config_sha256`` digests, checkpoint manifests — stays byte-stable.
+    For the same reason the retired solver fields are written with the
+    values every run now has.
     """
     data = asdict(config)
+    data["solver"] = {**_RETIRED_SOLVER_FIELDS, **data["solver"]}
     if config.tariff is None:
         del data["tariff"]
     else:
@@ -423,7 +426,13 @@ def config_from_dict(payload: dict[str, Any]) -> CommunityConfig:
         detection=DetectionConfig(**data["detection"]),
         # Checkpoints written before the solver layer existed carry no
         # "solver" section; defaults reproduce the historical behaviour.
-        solver=SolverConfig(**data.get("solver", {})),
+        solver=SolverConfig(
+            **{
+                key: value
+                for key, value in data.get("solver", {}).items()
+                if key not in _RETIRED_SOLVER_FIELDS
+            }
+        ),
         tariff=tariff,
         seed=int(data["seed"]),
     )

@@ -32,10 +32,13 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig, SolverConfig
-from repro.kernels import KernelBackend
 from repro.metrics.par import par, par_increase
-from repro.scheduling.batch import solve_games
-from repro.scheduling.game import Community, GameResult, SchedulingGame
+from repro.scheduling.game import (
+    Community,
+    GameResult,
+    SchedulingGame,
+    solve_games,
+)
 from repro.simulation.cache import (
     GameSolutionCache,
     solution_key,
@@ -72,11 +75,9 @@ class CommunityResponseSimulator:
         content-addressed over the full solve context, so sharing is
         always safe.
     solver:
-        Execution strategy (kernel backend, lockstep batching of
-        :meth:`prefetch`, equilibrium warm-starting).  The default is
-        bitwise-identical to the historical sequential path; only
-        ``solver.warm_start`` changes results, and warm solutions are
-        namespaced away from cold ones in the cache.
+        Equilibrium warm-starting.  The default is the historical cold
+        start; ``solver.warm_start`` changes results, and warm solutions
+        are namespaced away from cold ones in the cache.
     tariff:
         Optional pricing rule from :mod:`repro.tariffs`.  ``None`` (the
         default) is the paper's flat net-metering tariff through the
@@ -126,11 +127,6 @@ class CommunityResponseSimulator:
         """Number of distinct price vectors this simulator has solved."""
         return len(self._keys_seen)
 
-    @property
-    def backend(self) -> KernelBackend | str | None:
-        """Kernel backend name forwarded to every solve."""
-        return self.solver.backend
-
     def response(self, prices: ArrayLike) -> GameResult:
         """Game solution for a posted price vector (memoized)."""
         p = np.asarray(prices, dtype=float)
@@ -147,13 +143,12 @@ class CommunityResponseSimulator:
     def prefetch(self, price_vectors: Iterable[ArrayLike]) -> int:
         """Solve every not-yet-cached price vector in one lockstep batch.
 
-        Returns the number of games solved.  With ``solver.batch_games``
-        (the default) the pending solves run through
-        :func:`repro.scheduling.batch.solve_games`, which is
+        Returns the number of games solved.  The pending solves run
+        through :func:`repro.scheduling.game.solve_games`, which is
         bitwise-identical to solving them one at a time — prefetching is
         purely a wall-clock optimization, and the cache's hit/miss totals
-        match the sequential path (each batched solve books one miss, the
-        later lookup one hit).
+        match the one-at-a-time path (each batched solve books one miss,
+        the later lookup one hit).
         """
         pending: OrderedDict[str, NDArray[np.float64]] = OrderedDict()
         for prices in price_vectors:
@@ -173,13 +168,6 @@ class CommunityResponseSimulator:
             pending[key] = p
         if not pending:
             return 0
-        if not self.solver.batch_games or len(pending) == 1:
-            for key, p in pending.items():
-                self.cache.put(key, self._solve(p), community=self.community)
-                self.cache.register_prices(
-                    self._context_key, np.maximum(p, 0.0), key
-                )
-            return len(pending)
         clamped = [np.maximum(p, 0.0) for p in pending.values()]
         warm_starts: Sequence[GameResult | None] = [
             self._warm_start(p) for p in clamped
@@ -190,7 +178,6 @@ class CommunityResponseSimulator:
             sellback_divisor=self.sellback_divisor,
             config=self.config,
             seed=self.seed,
-            backend=self.solver.backend,
             warm_starts=warm_starts,
             ce_std_scale=self.solver.ce_warm_std_scale,
             tariff=self.tariff,
@@ -221,13 +208,12 @@ class CommunityResponseSimulator:
             clamped,
             sellback_divisor=self.sellback_divisor,
             config=self.config,
-            backend=self.solver.backend,
             tariff=self.tariff,
         )
         return game.solve(
             rng=np.random.default_rng(self.seed),
             warm_start=warm,
-            ce_std_scale=self.solver.ce_warm_std_scale if warm is not None else 1.0,
+            ce_std_scale=self.solver.ce_warm_std_scale,
         )
 
     def grid_par(self, prices: ArrayLike) -> float:

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import BatteryConfig
-from repro.kernels import KernelBackend, get_backend
+from repro.kernels import get_backend
 from repro.netmetering.battery import clamp_trajectory, clamp_trajectory_batch
 from repro.netmetering.cost import NetMeteringCostModel
 from repro.optimization.cross_entropy import CrossEntropyOptimizer, OptimizationResult
@@ -158,8 +158,7 @@ class BatteryProblem:
 
         Only the default-sign flat model qualifies; paper-literal or
         generalized-tariff models route through
-        :meth:`TariffCostModel.battery_costs` (pure numpy, identical on
-        every backend).
+        :meth:`TariffCostModel.battery_costs` (pure numpy).
         """
         return (
             isinstance(self.cost_model, NetMeteringCostModel)
@@ -175,9 +174,8 @@ class BatteryProblem:
 class BatteryOptimizer:
     """Cross-entropy search over battery trajectories for one customer.
 
-    ``backend`` selects the kernel implementation running the projection
-    and cost evaluations (see :mod:`repro.kernels`); all backends are
-    bitwise-identical, so the choice only affects speed.
+    The projection and the flat net-metering cost evaluations run on the
+    array kernels of :mod:`repro.kernels`.
     """
 
     def __init__(
@@ -187,13 +185,11 @@ class BatteryOptimizer:
         n_elites: int = 8,
         n_iterations: int = 12,
         smoothing: float = 0.7,
-        backend: KernelBackend | str | None = None,
     ) -> None:
         self.n_samples = n_samples
         self.n_elites = n_elites
         self.n_iterations = n_iterations
         self.smoothing = smoothing
-        self.backend = get_backend(backend)
 
     def _hooks(
         self, problem: BatteryProblem
@@ -201,20 +197,19 @@ class BatteryOptimizer:
         Callable[[NDArray[np.float64]], NDArray[np.float64]],
         Callable[[NDArray[np.float64]], NDArray[np.float64]],
     ]:
-        """Backend-routed (batch projection, batch objective) closures.
+        """Kernel-routed (batch projection, batch objective) closures.
 
         Row-for-row these match :meth:`BatteryProblem.project_batch` and
-        :meth:`BatteryProblem.cost_batch`; the kernel backend supplies
-        the (possibly fused) implementation.
+        :meth:`BatteryProblem.cost_batch`.
         """
         spec = problem.spec
-        backend = self.backend
+        kernels = get_backend()
         load = np.asarray(problem.load, dtype=float)
         pv = np.asarray(problem.pv, dtype=float)
         others = np.asarray(problem.others_trading, dtype=float)
 
         def project(decisions: NDArray[np.float64]) -> NDArray[np.float64]:
-            return backend.clamp_decisions(
+            return kernels.clamp_decisions(
                 decisions,
                 initial=spec.initial_kwh,
                 capacity=spec.capacity_kwh,
@@ -223,8 +218,7 @@ class BatteryOptimizer:
             )
 
         if not problem._flat_net_metering():
-            # Generalized tariffs price through one pure-numpy path, so
-            # every kernel backend sees identical numbers by construction.
+            # Generalized tariffs price through one pure-numpy path.
             tariff_model = problem._tariff_model()
 
             def tariff_cost(
@@ -244,7 +238,7 @@ class BatteryOptimizer:
         prices = problem.cost_model.price_array
 
         def cost(decisions: NDArray[np.float64]) -> NDArray[np.float64]:
-            return backend.battery_costs(
+            return kernels.battery_costs(
                 decisions,
                 initial=spec.initial_kwh,
                 load=load,

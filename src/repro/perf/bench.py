@@ -19,7 +19,6 @@ import platform
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable
@@ -30,7 +29,6 @@ from repro.core.config import CommunityConfig, SolverConfig
 from repro.core.presets import bench_preset, smoke_preset
 from repro.obs.logs import configure_logging, get_logger
 from repro.data.community import build_community
-from repro.kernels import get_backend
 from repro.optimization.battery import BatteryOptimizer, BatteryProblem
 from repro.optimization.cross_entropy import CrossEntropyOptimizer
 from repro.perf.counters import PERF
@@ -97,9 +95,7 @@ def _time(fn: Callable[[], object], *, repeats: int = 1) -> float:
     return best
 
 
-def _bench_ce_step(
-    config: CommunityConfig, *, backend: str | None = None
-) -> dict[str, float]:
+def _bench_ce_step(config: CommunityConfig) -> dict[str, float]:
     """Batched-projection CE battery step vs the seed's per-sample loop."""
     rng = np.random.default_rng(config.seed)
     community = build_community(config, rng=rng)
@@ -110,7 +106,7 @@ def _bench_ce_step(
     prices = np.linspace(0.01, 0.05, horizon)
     game = SchedulingGame(
         community, prices, sellback_divisor=config.pricing.sellback_divisor,
-        config=config.game, backend=backend,
+        config=config.game,
     )
     state = game.initial_state(customer)
     problem = BatteryProblem(
@@ -150,7 +146,6 @@ def _bench_ce_step(
             n_elites=gc.ce_elites,
             n_iterations=gc.ce_iterations,
             smoothing=gc.ce_smoothing,
-            backend=backend,
         ).optimize(
             problem, rng=np.random.default_rng(customer.customer_id + 7919)
         )
@@ -178,9 +173,7 @@ def _bench_ce_step(
     }
 
 
-def _bench_game_solve(
-    config: CommunityConfig, *, backend: str | None = None
-) -> dict[str, float]:
+def _bench_game_solve(config: CommunityConfig) -> dict[str, float]:
     """One cold game solve at preset scale, with work counters."""
     rng = np.random.default_rng(config.seed)
     community = build_community(config, rng=rng)
@@ -190,7 +183,7 @@ def _bench_game_solve(
         SchedulingGame(
             community, prices,
             sellback_divisor=config.pricing.sellback_divisor,
-            config=config.game, backend=backend,
+            config=config.game,
         ).solve(rng=np.random.default_rng(3))
 
     before = PERF.snapshot()
@@ -222,7 +215,6 @@ def _bench_scenario(config: CommunityConfig, *, n_slots: int, workers: int) -> d
     # *not* bitwise-identical to cold solves), so this timing measures
     # the opt-in fast path rather than a cache replay.
     warmstart_solver = SolverConfig(
-        backend=config.solver.backend,
         warm_start=True,
         warm_start_max_distance=10.0,
         ce_warm_std_scale=0.25,
@@ -319,23 +311,22 @@ def _entry_stamp(entry: dict[str, object]) -> str:
     env = env if isinstance(env, dict) else {}
     return (
         f"git={env.get('git_rev') or '?'} "
-        f"backend={entry.get('backend', '?')} "
         f"preset={entry.get('preset', '?')} "
         f"at {env.get('timestamp', '?')}"
     )
 
 
-def compare_latest_entries(path: str | Path, *, backend: str | None = None) -> int:
+def compare_latest_entries(path: str | Path) -> int:
     """Log the latest bench entry against the previous one.
 
     Compares every shared numeric leaf of the timing sections and
     renders the change as a speedup factor (previous / latest for
-    ``*_s`` timings, so >1 means the latest run is faster).  With
-    ``backend``, only entries recorded for that backend are considered,
-    so trajectories that interleave backends compare like with like.
+    ``*_s`` timings, so >1 means the latest run is faster).  Entries
+    recorded when kernel backends existed (their ``backend`` field and
+    ``+<backend>`` key suffix) compare like any other.
 
     A short history is not a failure: a missing file or fewer than two
-    (matching) entries logs what is there and returns 0, so a fresh
+    entries logs what is there and returns 0, so a fresh
     clone's first ``repro-bench --compare`` never breaks a script or a
     CI gate.  Only an unreadable/corrupt trajectory file returns 1.
     """
@@ -353,13 +344,10 @@ def compare_latest_entries(path: str | Path, *, backend: str | None = None) -> i
     except json.JSONDecodeError as exc:
         logger.error("%s is not valid JSON: %s", target, exc)
         return 1
-    if backend is not None:
-        entries = [e for e in entries if e.get("backend") == backend]
     if len(entries) < 2:
-        scope = f" for backend {backend!r}" if backend is not None else ""
         logger.info(
-            "%s has %d entr%s%s; need two to compare — nothing to do yet",
-            target, len(entries), "y" if len(entries) == 1 else "ies", scope,
+            "%s has %d entr%s; need two to compare — nothing to do yet",
+            target, len(entries), "y" if len(entries) == 1 else "ies",
         )
         return 0
     previous, latest = entries[-2], entries[-1]
@@ -394,11 +382,6 @@ def main(argv: list[str] | None = None) -> int:
         help="process-pool width for the aggregate comparison",
     )
     parser.add_argument(
-        "--backend", default=None,
-        help="kernel backend to bench (auto/reference/fused/...; recorded "
-        "in the entry so trajectories are keyed by git rev + backend)",
-    )
-    parser.add_argument(
         "--out", type=Path, default=Path("BENCH_hotpaths.json"),
         help="perf-trajectory file to append to",
     )
@@ -413,46 +396,30 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--compare", action="store_true",
-        help="compare the two most recent entries in --out (filtered by "
-        "--backend when given) and exit without running any benches; "
-        "a short history logs a note and exits 0",
+        help="compare the two most recent entries in --out and exit "
+        "without running any benches; a short history logs a note and "
+        "exits 0",
     )
     args = parser.parse_args(argv)
 
     configure_logging()
     if args.compare:
-        compare_backend = None
-        if args.backend is not None:
-            # Resolve aliases (e.g. "auto") to the recorded backend name.
-            try:
-                compare_backend = get_backend(args.backend).name
-            except ValueError as exc:
-                parser.error(str(exc))
-        return compare_latest_entries(args.out, backend=compare_backend)
+        return compare_latest_entries(args.out)
 
     if args.quick:
         args.preset = "smoke"
         args.skip_scenario = True
     config = PRESETS[args.preset]()
-    try:
-        backend_name = get_backend(args.backend).name
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.backend is not None:
-        config = config.with_updates(
-            solver=replace(config.solver, backend=args.backend)
-        )
 
     logger = get_logger("bench")
 
-    logger.info("== CE battery step (%s preset, %s backend) ==",
-                args.preset, backend_name)
-    ce = _bench_ce_step(config, backend=args.backend)
+    logger.info("== CE battery step (%s preset) ==", args.preset)
+    ce = _bench_ce_step(config)
     for name, value in ce.items():
         logger.info("  %s: %.5f", name, value)
 
     logger.info("== game solve ==")
-    game = _bench_game_solve(config, backend=args.backend)
+    game = _bench_game_solve(config)
     for name, value in game.items():
         logger.info("  %s: %.5f", name, value)
 
@@ -470,9 +437,8 @@ def main(argv: list[str] | None = None) -> int:
     entry: dict[str, object] = {
         "environment": environment,
         # Trajectory key: entries are identified by the code revision
-        # they measured plus the kernel backend they ran on.
-        "key": f"{environment['git_rev'] or 'unknown'}+{backend_name}",
-        "backend": backend_name,
+        # they measured.
+        "key": environment["git_rev"] or "unknown",
         "preset": args.preset,
         "ce_step": ce,
         "game_solve": game,

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.config import GameConfig
 from repro.scheduling.game import GameResult, SchedulingGame
 
@@ -42,12 +40,7 @@ class NashGapReport:
         return max(gaps)
 
 
-def nash_gap(
-    game: SchedulingGame,
-    result: GameResult,
-    *,
-    rng: np.random.Generator | None = None,
-) -> NashGapReport:
+def nash_gap(game: SchedulingGame, result: GameResult) -> NashGapReport:
     """Measure the epsilon of an (approximate) equilibrium.
 
     For each archetype, one more full best-response pass is computed from
@@ -56,7 +49,6 @@ def nash_gap(
     everywhere; the annealed-hysteresis loop targets gaps below the
     hysteresis fraction of each customer's bill.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     total = result.community_trading
     gaps = []
     costs = []
@@ -68,7 +60,7 @@ def nash_gap(
             ).sum()
         )
         improved = game.best_response(
-            state, others, rng, multiplicity=count, hysteresis_scale=0.0
+            state, others, multiplicity=count, hysteresis_scale=0.0
         )
         improved_cost = float(
             game.cost_model.customer_cost_per_slot(

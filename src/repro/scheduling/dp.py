@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.kernels import KernelBackend, get_backend
+from repro.kernels import get_backend
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule, ApplianceTask, InfeasibleTaskError
@@ -96,7 +96,6 @@ def schedule_appliance_table(
     cost_table: NDArray[np.float64],
     *,
     slot_hours: float = 1.0,
-    backend: KernelBackend | str | None = None,
 ) -> tuple[ApplianceSchedule, DpDiagnostics]:
     """Optimal schedule from a dense cost table.
 
@@ -110,10 +109,6 @@ def schedule_appliance_table(
         Rows outside the task window are ignored (the level is forced to 0).
     slot_hours:
         Slot duration in hours; per-slot energy is ``level * slot_hours``.
-    backend:
-        Kernel backend (or name) running the backward recursion; resolved
-        via :func:`repro.kernels.get_backend` when omitted.  Backends are
-        bitwise-identical, so the choice never changes the schedule.
 
     Returns
     -------
@@ -132,7 +127,6 @@ def schedule_appliance_table(
             f"{len(task.power_levels)} power levels"
         )
     task.check_feasible(horizon, slot_hours=slot_hours)
-    kernel = get_backend(backend)
 
     level_units, required_units, mask = _task_units(
         task, horizon, slot_hours=slot_hours
@@ -140,7 +134,9 @@ def schedule_appliance_table(
     # value[r] = minimal cost to consume exactly r units in slots [h, horizon);
     # choice[h, r] = level index chosen at slot h when r units remain.
     n_states = required_units + 1
-    value, choice = kernel.dp_backward(cost_table, level_units, n_states, mask)
+    value, choice = get_backend().dp_backward(
+        cost_table, level_units, n_states, mask
+    )
 
     if not np.isfinite(value[required_units]):
         raise InfeasibleTaskError(
@@ -166,14 +162,13 @@ def schedule_appliance_tables(
     cost_tables: NDArray[np.float64],
     *,
     slot_hours: float = 1.0,
-    backend: KernelBackend | str | None = None,
 ) -> tuple[list[ApplianceSchedule], NDArray[np.float64]]:
     """Optimal schedules for one task under a batch of cost tables.
 
     ``cost_tables`` has shape ``(G, H, L)`` — one dense table per game of
     a lockstep batch.  Entry ``g`` of the result is bitwise-identical to
     ``schedule_appliance_table(task, cost_tables[g])``; the backward
-    recursion runs once over the whole batch through the kernel backend.
+    recursion runs once over the whole batch.
 
     Returns ``(schedules, optimal_costs)`` with ``optimal_costs`` of
     shape ``(G,)``.
@@ -185,13 +180,12 @@ def schedule_appliance_tables(
         )
     n_games, horizon, _ = cost_tables.shape
     task.check_feasible(horizon, slot_hours=slot_hours)
-    kernel = get_backend(backend)
 
     level_units, required_units, mask = _task_units(
         task, horizon, slot_hours=slot_hours
     )
     n_states = required_units + 1
-    values, choices = kernel.dp_backward_batch(
+    values, choices = get_backend().dp_backward_batch(
         cost_tables, level_units, n_states, mask
     )
     if not np.all(np.isfinite(values[:, required_units])):

@@ -17,27 +17,60 @@ archetype best-respond against the whole community minus one instance,
 exactly as independent players would, but the fixed point is computed once
 per archetype — this is what makes the paper's 500-customer community
 tractable in pure Python.
+
+Algorithm 1 has one implementation, :class:`LockstepGameSolver`, which
+advances ``G`` independent games over one community in lockstep.  The
+detection pipeline repeatedly solves the *same community* under
+*different guideline-price vectors* with the *same solver seed*: the
+calibration Monte-Carlo checks ~30 attacked prices against one day, the
+scenario loop simulates every meter's received price, and sweeps scan
+whole price grids.  Algorithm 1 is Gauss-Seidel within one game — each
+customer best-responds against totals already updated this round — so
+customers cannot be batched inside a round.  Independent *games*,
+however, march through identical control flow: per-customer CE seeds are
+fixed functions of customer identity, and one shared round-order
+generator serves every game.  The solver therefore fuses every array
+operation across a leading game axis while keeping all accept/reject
+decisions per game.  :class:`SchedulingGame` is the one-game case
+(``G = 1``).
+
+Batch invariance: ``solve_games(community, [p1, ..., pG], ...)[g]`` is
+identical — every schedule, battery trajectory, round count and residual
+— to ``SchedulingGame(community, pg, ...).solve(rng=default_rng(seed))``.
+The batched reductions used (row-wise ``sum``/``mean``/``std``/
+``argsort``/``cumsum`` and elementwise broadcasting) are exact per-row
+matches of their one-row counterparts; ``tests/test_batched_game.py``
+enforces the contract end to end.
+
+Population layout: CE populations are ``(games, K, H)``; DP tables are
+``(games, H, levels)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig
-from repro.kernels import KernelBackend, get_backend
+from repro.kernels import get_backend
 from repro.netmetering.cost import NetMeteringCostModel
+from repro.obs.trace import TRACER
+from repro.perf.counters import PERF
+from repro.scheduling.appliance import ApplianceSchedule
+from repro.scheduling.customer import Customer, CustomerState
+from repro.scheduling.dp import schedule_appliance_tables
+from repro.tariffs.model import TariffCostModel, tariff_cost_terms
 
 if TYPE_CHECKING:
     from repro.tariffs.base import CostModel, Tariff
-from repro.obs.trace import TRACER
-from repro.optimization.battery import BatteryOptimizer, BatteryProblem
-from repro.perf.counters import PERF
-from repro.scheduling.customer import Customer, CustomerState
-from repro.scheduling.dp import schedule_appliance_table
+
+FloatArray = NDArray[np.float64]
+
+_CE_STD_FLOOR = 1e-3
+"""Must match :class:`repro.optimization.cross_entropy.CrossEntropyOptimizer`."""
 
 
 @dataclass(frozen=True)
@@ -122,61 +155,238 @@ class GameResult:
         return np.maximum(self.community_trading, 0.0)
 
 
-class SchedulingGame:
-    """Iterative best-response solver for one guideline-price vector."""
+def _cost_per_slot(
+    trading: FloatArray,
+    others: FloatArray,
+    prices: FloatArray,
+    sellback_divisor: float,
+    multiplicity: int,
+) -> FloatArray:
+    """Row-batched :meth:`NetMeteringCostModel.customer_cost_per_slot`."""
+    total = np.maximum(others + multiplicity * trading, 0.0)
+    return np.asarray(
+        np.where(
+            trading >= 0,
+            prices * total * trading,
+            (prices / sellback_divisor) * total * trading,
+        )
+    )
+
+
+def _marginal_tables(
+    base_trading: FloatArray,
+    others: FloatArray,
+    levels: FloatArray,
+    prices: FloatArray,
+    sellback_divisor: float,
+    multiplicity: int,
+    slot_hours: float,
+) -> FloatArray:
+    """Row-batched :meth:`NetMeteringCostModel.marginal_cost_table`."""
+    lv = np.asarray(levels, dtype=float) * slot_hours
+    base_cost = _cost_per_slot(
+        base_trading, others, prices, sellback_divisor, multiplicity
+    )
+    y_new = base_trading[:, :, None] + lv[None, None, :]
+    p = prices[:, :, None]
+    total = np.maximum(others[:, :, None] + multiplicity * y_new, 0.0)
+    cost_new = np.where(
+        y_new >= 0,
+        p * total * y_new,
+        (p / sellback_divisor) * total * y_new,
+    )
+    return np.asarray(cost_new - base_cost[:, :, None])
+
+
+def _tariff_cost_per_slot(
+    trading: FloatArray,
+    others: FloatArray,
+    buy: FloatArray,
+    sell: FloatArray,
+    export_cap: float | None,
+    paper_literal: bool,
+    multiplicity: int,
+) -> FloatArray:
+    """Row-batched :meth:`TariffCostModel.customer_cost_per_slot`."""
+    return np.asarray(
+        tariff_cost_terms(
+            trading,
+            others,
+            buy_rates=buy,
+            sell_rates=sell,
+            export_cap_kwh=export_cap,
+            paper_literal=paper_literal,
+            multiplicity=multiplicity,
+        )
+    )
+
+
+def _tariff_marginal_tables(
+    base_trading: FloatArray,
+    others: FloatArray,
+    levels: FloatArray,
+    buy: FloatArray,
+    sell: FloatArray,
+    export_cap: float | None,
+    paper_literal: bool,
+    multiplicity: int,
+    slot_hours: float,
+) -> FloatArray:
+    """Row-batched :meth:`TariffCostModel.marginal_cost_table`."""
+    lv = np.asarray(levels, dtype=float) * slot_hours
+    base_cost = _tariff_cost_per_slot(
+        base_trading, others, buy, sell, export_cap, paper_literal, multiplicity
+    )
+    y_new = base_trading[:, :, None] + lv[None, None, :]
+    cost_new = tariff_cost_terms(
+        y_new,
+        others[:, :, None],
+        buy_rates=buy[:, :, None],
+        sell_rates=sell[:, :, None],
+        export_cap_kwh=export_cap,
+        paper_literal=paper_literal,
+        multiplicity=multiplicity,
+    )
+    return np.asarray(cost_new - base_cost[:, :, None])
+
+
+class _LockstepState:
+    """Strategy arrays for one archetype across all games in the batch.
+
+    ``load`` and ``trading`` hold each game's household load and grid
+    trading; :meth:`refresh` recomputes them for the games whose strategy
+    changed, with the operation order of ``CustomerState.load`` and
+    ``CustomerState.trading``.
+    """
+
+    def __init__(self, customer: Customer, n_games: int) -> None:
+        self.customer = customer
+        horizon = customer.horizon
+        self.power = np.zeros((n_games, len(customer.tasks), horizon))
+        self.battery = np.zeros((n_games, horizon))
+        self.load = np.zeros((n_games, horizon))
+        self.trading = np.zeros((n_games, horizon))
+        self._base_load = customer.base_load_array
+        self._pv = customer.pv_array
+
+    def refresh(self, rows: NDArray[np.int_]) -> None:
+        """Recompute ``load`` and ``trading`` of the games in ``rows``."""
+        load = np.broadcast_to(
+            self._base_load, (rows.size, self.customer.horizon)
+        ).copy()
+        for t in range(len(self.customer.tasks)):
+            load += self.power[rows, t, :]
+        b0 = np.full((rows.size, 1), self.customer.battery.initial_kwh)
+        full = np.concatenate([b0, self.battery[rows]], axis=1)
+        self.load[rows] = load
+        self.trading[rows] = load + np.diff(full, axis=1) - self._pv
+
+    def state_for(self, game: int) -> CustomerState:
+        """Materialize one game's strategy as a ``CustomerState``."""
+        schedules = tuple(
+            ApplianceSchedule(task=task, power=tuple(self.power[game, t]))
+            for t, task in enumerate(self.customer.tasks)
+        )
+        return CustomerState(
+            customer=self.customer,
+            schedules=schedules,
+            battery_decision=tuple(self.battery[game]),
+        )
+
+
+class LockstepGameSolver:
+    """Algorithm 1 for ``G`` independent games over one community.
+
+    See the module docstring for the batching argument.
+    """
 
     def __init__(
         self,
         community: Community,
-        prices: ArrayLike,
+        price_vectors: Sequence[ArrayLike],
         *,
         sellback_divisor: float = 2.0,
         config: GameConfig | None = None,
-        backend: KernelBackend | str | None = None,
         tariff: "Tariff | None" = None,
     ) -> None:
-        prices_arr = np.asarray(prices, dtype=float)
-        if prices_arr.shape != (community.horizon,):
-            raise ValueError(
-                f"prices must have shape ({community.horizon},), got {prices_arr.shape}"
-            )
+        if not price_vectors:
+            raise ValueError("need at least one price vector")
         self.community = community
         self.config = config if config is not None else GameConfig()
-        self.backend = get_backend(backend)
         # Hourly slots: a kW power level consumes that many kWh per slot,
         # which keeps appliance loads, PV and trading in the same unit.
         self.slot_hours = 1.0
+        self.sellback_divisor = float(sellback_divisor)
         self.tariff = tariff
-        # The cost hook: with no tariff, the paper's flat net-metering
-        # model is built exactly as before (bitwise-identical results);
-        # a tariff supplies its own model through the same duck-typed
-        # surface.
-        if tariff is None:
-            self.cost_model: CostModel = NetMeteringCostModel(
-                prices=tuple(prices_arr), sellback_divisor=sellback_divisor
-            )
-        else:
-            self.cost_model = tariff.cost_model(
-                prices_arr, sellback_divisor=sellback_divisor
-            )
-        self._battery_optimizer = BatteryOptimizer(
-            n_samples=self.config.ce_samples,
-            n_elites=self.config.ce_elites,
-            n_iterations=self.config.ce_iterations,
-            smoothing=self.config.ce_smoothing,
-            backend=self.backend,
+        horizon = community.horizon
+        prices = np.stack(
+            [np.asarray(p, dtype=float) for p in price_vectors]
         )
+        if prices.shape != (len(price_vectors), horizon):
+            raise ValueError(
+                f"price vectors must each have shape ({horizon},), "
+                f"got stacked shape {prices.shape}"
+            )
+        # The cost hook: with no tariff, the paper's flat net-metering
+        # model; a tariff supplies its own model through the same
+        # duck-typed surface.  Per-game models validate the prices
+        # (finite, non-negative) and serve scalar costing to callers.
+        if tariff is None:
+            self.cost_models: list[CostModel] = [
+                NetMeteringCostModel(
+                    prices=tuple(p), sellback_divisor=self.sellback_divisor
+                )
+                for p in prices
+            ]
+        else:
+            self.cost_models = [
+                tariff.cost_model(p, sellback_divisor=self.sellback_divisor)
+                for p in prices
+            ]
+        first = self.cost_models[0]
+        if isinstance(first, NetMeteringCostModel) and not first.paper_literal:
+            # Flat net metering (with or without an explicit tariff):
+            # keep the scalar-divisor formulas and the kernel battery
+            # fast path.  The tariff may pin its own divisor, so take
+            # it from the built model rather than the argument.
+            self.sellback_divisor = float(first.sellback_divisor)
+            self._tariff_rates: tuple[FloatArray, FloatArray] | None = None
+            self._export_cap: float | None = None
+            self._paper_literal = False
+        else:
+            # Generalized path: stack per-game rate rows once; every
+            # costing site then shares the same pure-numpy formula the
+            # one-game TariffCostModel evaluates row by row.
+            models = [
+                m
+                if isinstance(m, TariffCostModel)
+                else TariffCostModel.from_net_metering(m)
+                for m in self.cost_models
+            ]
+            self._tariff_rates = (
+                np.stack([m.price_array for m in models]),
+                np.stack([m.sell_array for m in models]),
+            )
+            self._export_cap = models[0].export_cap_kwh
+            self._paper_literal = models[0].paper_literal
+        # The import-side rates drive the greedy warm start (identical
+        # to the guideline prices when no tariff reshapes them).
+        self.greedy_prices = np.stack(
+            [m.price_array for m in self.cost_models]
+        )
+        self.prices = prices
+        self.n_games = prices.shape[0]
         # Per-(customer, task) tables that are pure functions of static
         # identity: the DP tie-break jitter (a fresh seeded generator
         # reproduces the same table every call, so caching it is exact)
-        # and the power-level array used for vectorized schedule costing.
-        self._jitter_tables: dict[tuple[int, int], NDArray[np.float64]] = {}
-        self._level_arrays: dict[tuple[int, int], NDArray[np.float64]] = {}
-        self._slot_index = np.arange(community.horizon)
+        # and the power-level array used for schedule costing.
+        self._jitter_tables: dict[tuple[int, int], FloatArray] = {}
+        self._level_arrays: dict[tuple[int, int], FloatArray] = {}
+        self._slot_index = np.arange(horizon)
 
     def _task_tables(
         self, customer: Customer, index: int
-    ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    ) -> tuple[FloatArray, FloatArray]:
         """Cached (jitter table, power-level array) for one task."""
         key = (customer.customer_id, index)
         jitter = self._jitter_tables.get(key)
@@ -196,46 +406,234 @@ class SchedulingGame:
     # ------------------------------------------------------------------
     # Initialization
     # ------------------------------------------------------------------
-    def initial_state(self, customer: Customer) -> CustomerState:
-        """Greedy warm start: price-only scheduling, idle battery."""
-        horizon = customer.horizon
-        prices = self.cost_model.price_array
-        schedules = []
-        for task in customer.tasks:
-            levels = np.asarray(task.power_levels)
-            table = prices[:, None] * levels[None, :] * self.slot_hours
-            schedule, _ = schedule_appliance_table(
-                task, table, slot_hours=self.slot_hours
-            )
-            schedules.append(schedule)
-        decision = np.full(horizon, customer.battery.initial_kwh)
-        return CustomerState(
-            customer=customer,
-            schedules=tuple(schedules),
-            battery_decision=tuple(decision),
+    def _initial_state(
+        self,
+        customer: Customer,
+        warm_states: Sequence[CustomerState | None],
+    ) -> _LockstepState:
+        """One archetype's starting strategy in every game.
+
+        ``warm_states[g]`` seeds game ``g``; games without one get the
+        greedy start: price-only appliance scheduling, idle battery.
+        """
+        state = _LockstepState(customer, self.n_games)
+        cold = np.array(
+            [g for g, warm in enumerate(warm_states) if warm is None], dtype=int
         )
+        if cold.size:
+            for t, task in enumerate(customer.tasks):
+                levels = np.asarray(task.power_levels)
+                tables = (
+                    self.greedy_prices[cold][:, :, None]
+                    * levels[None, None, :]
+                    * self.slot_hours
+                )
+                schedules, _ = schedule_appliance_tables(
+                    task, tables, slot_hours=self.slot_hours
+                )
+                for i, g in enumerate(cold):
+                    state.power[g, t, :] = schedules[i].load
+            state.battery[cold] = customer.battery.initial_kwh
+        for g, warm in enumerate(warm_states):
+            if warm is None:
+                continue
+            for t, schedule in enumerate(warm.schedules):
+                state.power[g, t, :] = schedule.load
+            state.battery[g] = np.asarray(warm.battery_decision, dtype=float)
+        state.refresh(np.arange(self.n_games))
+        return state
 
     # ------------------------------------------------------------------
-    # Best response
+    # Batched CE battery step
     # ------------------------------------------------------------------
-    def best_response(
+    def _ce_battery(
         self,
-        state: CustomerState,
-        others_trading: NDArray[np.float64],
-        rng: np.random.Generator,
+        customer: Customer,
+        load: FloatArray,
+        others: FloatArray,
+        prices: FloatArray,
+        x0: FloatArray,
+        multiplicity: int,
+        std_scales: FloatArray,
+        tariff_rates: tuple[FloatArray, FloatArray] | None,
+    ) -> tuple[FloatArray, FloatArray]:
+        """Batched CE over battery trajectories; one game per row.
+
+        Mirrors :meth:`CrossEntropyOptimizer.minimize` exactly per row;
+        each game draws from its own freshly seeded generator (the same
+        per-customer deterministic seed for every game), so every game's
+        draw stream is the one a solo solve would see.  Returns
+        ``(best_x, best_f)``.
+        """
+        spec = customer.battery
+        cfg = self.config
+        n_games, horizon = x0.shape
+        kernels = get_backend()
+        lower = np.zeros(horizon)
+        upper = np.full(horizon, spec.capacity_kwh)
+        span = upper - lower
+        pv = customer.pv_array
+        max_charge = spec.max_charge_kw * self.slot_hours
+        max_discharge = spec.max_discharge_kw * self.slot_hours
+        if tariff_rates is None:
+            columns = (load, others, prices)
+        else:
+            columns = (load, others, tariff_rates[0], tariff_rates[1])
+        grouped = tuple(c[:, None, :] for c in columns)
+
+        def project(decisions: FloatArray) -> FloatArray:
+            # One 2-D population: the kernel's per-slot ufunc calls cost
+            # less over one leading axis than over two.
+            flat = kernels.clamp_decisions(
+                decisions.reshape(-1, horizon),
+                initial=spec.initial_kwh,
+                capacity=spec.capacity_kwh,
+                max_charge=max_charge,
+                max_discharge=max_discharge,
+            )
+            return flat.reshape(decisions.shape)
+
+        def score(decisions: FloatArray, rows: tuple[FloatArray, ...]) -> FloatArray:
+            """Per-row cost of ``decisions`` against the given row data."""
+            if tariff_rates is None:
+                row_load, row_others, row_prices = rows
+                return kernels.battery_costs(
+                    decisions,
+                    initial=spec.initial_kwh,
+                    load=row_load,
+                    pv=pv,
+                    others=row_others,
+                    prices=row_prices,
+                    sellback_divisor=self.sellback_divisor,
+                    multiplicity=multiplicity,
+                )
+            # Generalized tariffs score through the same pure-numpy
+            # formula the one-game TariffCostModel.battery_costs uses.
+            row_load, row_others, buy, sell = rows
+            start = np.full(decisions.shape[:-1] + (1,), spec.initial_kwh)
+            trajectory = np.concatenate([start, decisions], axis=-1)
+            trading = row_load + np.diff(trajectory, axis=-1) - pv
+            cost = tariff_cost_terms(
+                trading,
+                row_others,
+                buy_rates=buy,
+                sell_rates=sell,
+                export_cap_kwh=self._export_cap,
+                paper_literal=self._paper_literal,
+                multiplicity=multiplicity,
+            )
+            return np.asarray(cost.sum(axis=-1))
+
+        mean = np.clip(x0, lower, upper)
+        std = np.maximum(span / 4.0 * std_scales[:, None], _CE_STD_FLOOR)
+        start = project(mean.copy())
+        start_scores = score(start, columns)
+        best_x = start.copy()
+        best_f = np.where(np.isfinite(start_scores), start_scores, np.inf)
+
+        rngs = [
+            # Batch invariance: every game replays the solo per-customer
+            # CE stream bit-for-bit.
+            np.random.default_rng(customer.customer_id + 7919)  # repro: noqa[SEED003]
+            for _ in range(n_games)
+        ]
+        n_iterations = np.zeros(n_games, dtype=int)
+        alive = np.arange(n_games)
+        span_id = TRACER.begin(
+            "ce.minimize",
+            category="optimization",
+            parent_id=TRACER.current_span_id,
+            dimension=horizon,
+            n_samples=cfg.ce_samples,
+            games=n_games,
+        )
+        for _ in range(cfg.ce_iterations):
+            if not alive.size:
+                break
+            # Until the first game stops, a slice selects the running
+            # games without the copies of fancy indexing.
+            if alive.size == n_games:
+                sel: slice | NDArray[np.int_] = slice(None)
+                rows = grouped
+            else:
+                sel = alive
+                rows = tuple(c[alive] for c in grouped)
+            samples = np.empty((alive.size, cfg.ce_samples, horizon))
+            for i, g in enumerate(alive):
+                samples[i] = rngs[g].normal(
+                    mean[g], std[g], size=(cfg.ce_samples, horizon)
+                )
+            np.clip(samples, lower, upper, out=samples)
+            samples = project(samples)
+            scores = score(samples, rows)
+            PERF.add("ce.evaluations", cfg.ce_samples * alive.size)
+            scores = np.where(np.isfinite(scores), scores, np.inf)
+
+            elite_idx = np.argsort(scores, axis=1)[:, : cfg.ce_elites]
+            picks = np.arange(alive.size)
+            elites = samples[picks[:, None], elite_idx]
+            first = elite_idx[:, 0]
+            first_scores = scores[picks, first]
+            better = first_scores < best_f[sel]
+            best_f[sel] = np.where(better, first_scores, best_f[sel])
+            best_x[sel] = np.where(
+                better[:, None], samples[picks, first], best_x[sel]
+            )
+            n_iterations[sel] += 1
+
+            new_mean = elites.mean(axis=1)
+            new_std = elites.std(axis=1)
+            mean[sel] = cfg.ce_smoothing * new_mean + (1 - cfg.ce_smoothing) * mean[sel]
+            std[sel] = cfg.ce_smoothing * new_std + (1 - cfg.ce_smoothing) * std[sel]
+            done = np.all(std[sel] < _CE_STD_FLOOR, axis=1)
+            alive = alive[~done]
+        TRACER.end(span_id)
+        for n in n_iterations:
+            PERF.observe("ce.iterations", int(n))
+        if not np.all(np.isfinite(best_f)):
+            raise RuntimeError(
+                "cross-entropy optimization never found a finite objective value"
+            )
+        return best_x, best_f
+
+    # ------------------------------------------------------------------
+    # Batched best response
+    # ------------------------------------------------------------------
+    def _schedule_costs(
+        self, tables: FloatArray, levels: FloatArray, power: FloatArray
+    ) -> FloatArray:
+        """Cost of each game's current schedule under its fresh table.
+
+        ``levels`` is the task's (strictly increasing) power-level array;
+        schedule powers are exact members of it, so ``searchsorted``
+        recovers each slot's level index.  ``cumsum`` adds the gathered
+        entries strictly left to right, the rounding of the historical
+        per-slot accumulation loop.
+        """
+        idx = np.searchsorted(levels, power)
+        games = np.arange(power.shape[0])[:, None]
+        picked = tables[games, self._slot_index, idx]
+        return np.asarray(np.cumsum(picked, axis=1)[:, -1])
+
+    def _best_response(
+        self,
+        state: _LockstepState,
+        rows: NDArray[np.int_],
+        others: FloatArray,
         *,
-        multiplicity: int = 1,
-        hysteresis_scale: float = 1.0,
-        ce_std_scale: float = 1.0,
-    ) -> CustomerState:
-        """One inner-loop pass of Algorithm 1 for a single customer.
+        multiplicity: int,
+        hysteresis_scale: float,
+        ce_std_scales: FloatArray,
+    ) -> None:
+        """One inner-loop pass of Algorithm 1 for one archetype.
 
         Alternates DP appliance scheduling (battery fixed) and CE battery
-        optimization (appliances fixed) ``config.inner_iterations`` times.
+        optimization (appliances fixed) ``config.inner_iterations`` times
+        in every game of ``rows``, updating ``state`` in place.
 
-        ``others_trading`` must exclude all ``multiplicity`` instances of
-        the archetype; the herd move of identical instances is priced
-        inside the marginal tables (see
+        ``others`` must exclude all ``multiplicity`` instances of the
+        archetype; the herd move of identical instances is priced inside
+        the marginal tables (see
         :meth:`NetMeteringCostModel.marginal_cost_table`).
 
         ``hysteresis_scale`` anneals the acceptance threshold: the outer
@@ -246,20 +644,38 @@ class SchedulingGame:
         """
         threshold_rate = self.config.hysteresis * hysteresis_scale
         customer = state.customer
+        prices = self.prices[rows]
+        if self._tariff_rates is None:
+            rate_rows = None
+        else:
+            rate_rows = (
+                self._tariff_rates[0][rows],
+                self._tariff_rates[1][rows],
+            )
+
+        def costs_per_slot(trading: FloatArray) -> FloatArray:
+            if rate_rows is None:
+                return _cost_per_slot(
+                    trading, others, prices, self.sellback_divisor, multiplicity
+                )
+            return _tariff_cost_per_slot(
+                trading,
+                others,
+                rate_rows[0],
+                rate_rows[1],
+                self._export_cap,
+                self._paper_literal,
+                multiplicity,
+            )
+
         for _ in range(self.config.inner_iterations):
             # The acceptance threshold is a fraction of the customer's
             # whole daily bill: relative-to-move thresholds fail when a
             # move's own marginal cost is near zero (flat cost valleys
             # created by battery arbitrage), which is exactly where
             # best-response cycling lives.
-            reference = abs(
-                float(
-                    self.cost_model.customer_cost_per_slot(
-                        state.trading, others_trading, multiplicity=multiplicity
-                    ).sum()
-                )
-            ) + 1e-9
-            threshold = threshold_rate * reference
+            per_slot = costs_per_slot(state.trading[rows])
+            threshold = threshold_rate * (np.abs(per_slot.sum(axis=1)) + 1e-9)
             # Line 4: appliance schedules via DP, one task at a time.
             for index, task in enumerate(customer.tasks):
                 # Deterministic per-(customer, task) jitter breaks cost
@@ -267,78 +683,233 @@ class SchedulingGame:
                 # free, and without it every customer's DP would herd into
                 # the same slot of the window.
                 jitter, levels = self._task_tables(customer, index)
-                base_trading = state.trading - state.schedules[index].load * self.slot_hours
-                table = self.cost_model.marginal_cost_table(
-                    base_trading,
-                    others_trading,
-                    levels,
-                    multiplicity=multiplicity,
-                    slot_hours=self.slot_hours,
+                power = state.power[rows, index, :]
+                base_trading = state.trading[rows] - power * self.slot_hours
+                if rate_rows is None:
+                    tables = _marginal_tables(
+                        base_trading,
+                        others,
+                        levels,
+                        prices,
+                        self.sellback_divisor,
+                        multiplicity,
+                        self.slot_hours,
+                    )
+                else:
+                    tables = _tariff_marginal_tables(
+                        base_trading,
+                        others,
+                        levels,
+                        rate_rows[0],
+                        rate_rows[1],
+                        self._export_cap,
+                        self._paper_literal,
+                        multiplicity,
+                        self.slot_hours,
+                    )
+                tables += jitter
+                tables[:, :, 0] = 0.0  # idling stays exactly free
+                schedules, optimal_costs = schedule_appliance_tables(
+                    task, tables, slot_hours=self.slot_hours
                 )
-                table = table + jitter
-                table[:, 0] = 0.0  # idling stays exactly free
-                schedule, diagnostics = schedule_appliance_table(
-                    task, table, slot_hours=self.slot_hours, backend=self.backend
-                )
-                current_cost = self._schedule_cost(
-                    table, levels, state.schedules[index]
-                )
-                improvement = current_cost - diagnostics.optimal_cost
-                if improvement > threshold:
-                    state = state.with_schedule(index, schedule)
+                current_costs = self._schedule_costs(tables, levels, power)
+                accepted = np.flatnonzero(current_costs - optimal_costs > threshold)
+                if accepted.size:
+                    for i in accepted:
+                        state.power[rows[i], index, :] = schedules[i].load
+                    state.refresh(rows[accepted])
             # Line 5: battery trajectory via cross-entropy optimization.
             if customer.battery.capacity_kwh > 0:
-                problem = BatteryProblem(
-                    load=tuple(state.load),
-                    pv=customer.pv,
-                    others_trading=tuple(others_trading),
-                    spec=customer.battery,
-                    cost_model=self.cost_model,
-                    slot_hours=self.slot_hours,
-                    multiplicity=multiplicity,
+                best_x, best_f = self._ce_battery(
+                    customer,
+                    state.load[rows],
+                    others,
+                    prices,
+                    state.battery[rows],
+                    multiplicity,
+                    ce_std_scales,
+                    rate_rows,
                 )
-                # A per-customer deterministic seed makes the CE step a
-                # function of its inputs, so the best-response map has
-                # fixed points the outer loop can actually reach.
-                ce_rng = np.random.default_rng(customer.customer_id + 7919)  # repro: noqa[SEED003] fixed-point contract: the CE step must replay the same stream each inner iteration
-                result = self._battery_optimizer.optimize(
-                    problem,
-                    x0=np.asarray(state.battery_decision),
-                    rng=ce_rng,
-                    std_scale=ce_std_scale,
-                )
-                current_cost = problem.cost(np.asarray(state.battery_decision))
-                # Accept only clear improvements: chasing CE sampling noise
-                # keeps the outer loop from converging.
-                improvement = current_cost - result.fun
-                if improvement > threshold:
-                    state = state.with_battery(result.x)
-        return state
-
-    def _schedule_cost(
-        self,
-        table: NDArray[np.float64],
-        levels: NDArray[np.float64],
-        schedule,
-    ) -> float:
-        """Cost of an existing schedule under a fresh marginal table.
-
-        ``levels`` is the task's (strictly increasing) power-level array;
-        schedule powers are exact members of it, so ``searchsorted``
-        recovers each slot's level index without rebuilding a dict.  The
-        gathered entries are summed sequentially to reproduce the exact
-        rounding of the historical per-slot accumulation loop.
-        """
-        idx = np.searchsorted(levels, schedule.load)
-        picked = table[self._slot_index, idx]
-        total = 0.0
-        for value in picked.tolist():
-            total += value
-        return total
+                current_costs = costs_per_slot(state.trading[rows]).sum(axis=1)
+                # Accept only clear improvements: chasing CE sampling
+                # noise keeps the outer loop from converging.
+                accepted = current_costs - best_f > threshold
+                if accepted.any():
+                    state.battery[rows[accepted]] = best_x[accepted]
+                    state.refresh(rows[accepted])
 
     # ------------------------------------------------------------------
     # Outer loop
     # ------------------------------------------------------------------
+    def solve(
+        self,
+        *,
+        rng: np.random.Generator,
+        warm_starts: Sequence[GameResult | None] | None = None,
+        ce_std_scale: float = 1.0,
+    ) -> list[GameResult]:
+        """Run Algorithm 1 to (approximate) convergence in every game.
+
+        ``rng`` draws each round's customer order, one permutation per
+        round shared by every game still running.  ``warm_starts[g]``,
+        when given, replaces game ``g``'s greedy initial states with a
+        previous :class:`GameResult` for the same community (e.g. the
+        nearest cached equilibrium under a similar price vector) and
+        narrows that game's CE sampling density by ``ce_std_scale``.
+        """
+        n_games = self.n_games
+        if warm_starts is None:
+            warm_starts = [None] * n_games
+        if len(warm_starts) != n_games:
+            raise ValueError(
+                f"{len(warm_starts)} warm starts for {n_games} games"
+            )
+        for warm in warm_starts:
+            if warm is not None and len(warm.states) != len(
+                self.community.customers
+            ):
+                raise ValueError(
+                    f"warm start has {len(warm.states)} archetype states "
+                    f"for {len(self.community.customers)} archetypes"
+                )
+        ce_scales = np.array(
+            [ce_std_scale if w is not None else 1.0 for w in warm_starts]
+        )
+
+        states = [
+            self._initial_state(
+                customer,
+                [w.states[a] if w is not None else None for w in warm_starts],
+            )
+            for a, customer in enumerate(self.community.customers)
+        ]
+        counts = self.community.counts
+        total = np.zeros((n_games, self.community.horizon))
+        for state, count in zip(states, counts):
+            total += count * state.trading
+
+        residuals: list[list[float]] = [[] for _ in range(n_games)]
+        rounds = np.zeros(n_games, dtype=int)
+        converged = np.zeros(n_games, dtype=bool)
+        active = np.arange(n_games)
+
+        for round_no in range(1, self.config.max_rounds + 1):
+            if not active.size:
+                break
+            order = rng.permutation(len(states))
+            max_delta = np.zeros(active.size)
+            with TRACER.span(
+                "game.round", round=round_no, games=int(active.size)
+            ):
+                for index in order:
+                    state, count = states[index], counts[index]
+                    old_trading = state.trading[active]
+                    others = total[active] - count * old_trading
+                    with TRACER.span(
+                        "game.customer",
+                        customer=int(index),
+                        multiplicity=int(count),
+                    ):
+                        self._best_response(
+                            state,
+                            active,
+                            others,
+                            multiplicity=count,
+                            hysteresis_scale=float(round_no),
+                            ce_std_scales=ce_scales[active],
+                        )
+                    new_trading = state.trading[active]
+                    delta = np.max(np.abs(new_trading - old_trading), axis=1)
+                    max_delta = np.maximum(max_delta, delta)
+                    total[active] = total[active] + count * (
+                        new_trading - old_trading
+                    )
+            for i, g in enumerate(active):
+                residuals[g].append(float(max_delta[i]))
+                rounds[g] = round_no
+            done = max_delta < self.config.convergence_tol
+            converged[active[done]] = True
+            active = active[~done]
+
+        results = []
+        for g in range(n_games):
+            PERF.add("game.solves")
+            PERF.add("game.rounds", int(rounds[g]))
+            PERF.observe("game.rounds", int(rounds[g]))
+            results.append(
+                GameResult(
+                    states=tuple(s.state_for(g) for s in states),
+                    counts=counts,
+                    rounds=int(rounds[g]),
+                    converged=bool(converged[g]),
+                    residuals=tuple(residuals[g]),
+                )
+            )
+        return results
+
+
+class SchedulingGame:
+    """Algorithm 1 for one guideline-price vector.
+
+    The one-game case of :class:`LockstepGameSolver`: every method runs
+    the lockstep code with ``G = 1``.
+    """
+
+    def __init__(
+        self,
+        community: Community,
+        prices: ArrayLike,
+        *,
+        sellback_divisor: float = 2.0,
+        config: GameConfig | None = None,
+        tariff: "Tariff | None" = None,
+    ) -> None:
+        prices_arr = np.asarray(prices, dtype=float)
+        if prices_arr.shape != (community.horizon,):
+            raise ValueError(
+                f"prices must have shape ({community.horizon},), got {prices_arr.shape}"
+            )
+        self._solver = LockstepGameSolver(
+            community,
+            [prices_arr],
+            sellback_divisor=sellback_divisor,
+            config=config,
+            tariff=tariff,
+        )
+        self.community = community
+        self.config = self._solver.config
+        self.tariff = tariff
+        self.cost_model: CostModel = self._solver.cost_models[0]
+
+    def initial_state(self, customer: Customer) -> CustomerState:
+        """Greedy warm start: price-only scheduling, idle battery."""
+        return self._solver._initial_state(customer, [None]).state_for(0)
+
+    def best_response(
+        self,
+        state: CustomerState,
+        others_trading: NDArray[np.float64],
+        *,
+        multiplicity: int = 1,
+        hysteresis_scale: float = 1.0,
+        ce_std_scale: float = 1.0,
+    ) -> CustomerState:
+        """One inner-loop pass of Algorithm 1 for a single customer.
+
+        See :meth:`LockstepGameSolver._best_response`; ``others_trading``
+        must exclude all ``multiplicity`` instances of the archetype.
+        """
+        lockstep = self._solver._initial_state(state.customer, [state])
+        self._solver._best_response(
+            lockstep,
+            np.zeros(1, dtype=int),
+            np.asarray(others_trading, dtype=float)[None, :],
+            multiplicity=multiplicity,
+            hysteresis_scale=hysteresis_scale,
+            ce_std_scales=np.array([ce_std_scale]),
+        )
+        return lockstep.state_for(0)
+
     def solve(
         self,
         *,
@@ -352,64 +923,54 @@ class SchedulingGame:
         :class:`GameResult` for the same community (e.g. the nearest
         cached equilibrium under a similar price vector), typically
         cutting rounds-to-convergence sharply; ``ce_std_scale`` then
-        narrows the CE sampling density around the warm trajectories.
-        Both default to the historical cold start.
+        narrows the CE sampling density around the warm trajectories
+        (it has no effect on a cold start).  Both default to the
+        historical cold start.
         """
-        rng = rng if rng is not None else np.random.default_rng(0)
-        if warm_start is not None:
-            if len(warm_start.states) != len(self.community.customers):
-                raise ValueError(
-                    f"warm start has {len(warm_start.states)} archetype states "
-                    f"for {len(self.community.customers)} archetypes"
-                )
-            states = list(warm_start.states)
-        else:
-            states = [self.initial_state(c) for c in self.community.customers]
-        counts = self.community.counts
-        tradings = [s.trading for s in states]
-        total = np.zeros(self.community.horizon)
-        for y, count in zip(tradings, counts):
-            total += count * y
-
-        residuals: list[float] = []
-        converged = False
-        rounds = 0
-        for rounds in range(1, self.config.max_rounds + 1):
-            max_delta = 0.0
-            order = rng.permutation(len(states))
-            with TRACER.span("game.round", round=rounds):
-                for index in order:
-                    state, count = states[index], counts[index]
-                    others = total - count * tradings[index]
-                    with TRACER.span(
-                        "game.customer", customer=int(index), multiplicity=int(count)
-                    ):
-                        new_state = self.best_response(
-                            state,
-                            others,
-                            rng,
-                            multiplicity=count,
-                            hysteresis_scale=float(rounds),
-                            ce_std_scale=ce_std_scale,
-                        )
-                    new_trading = new_state.trading
-                    delta = float(np.max(np.abs(new_trading - tradings[index])))
-                    max_delta = max(max_delta, delta)
-                    total = total + count * (new_trading - tradings[index])
-                    states[index] = new_state
-                    tradings[index] = new_trading
-            residuals.append(max_delta)
-            if max_delta < self.config.convergence_tol:
-                converged = True
-                break
-
-        PERF.add("game.solves")
-        PERF.add("game.rounds", rounds)
-        PERF.observe("game.rounds", rounds)
-        return GameResult(
-            states=tuple(states),
-            counts=counts,
-            rounds=rounds,
-            converged=converged,
-            residuals=tuple(residuals),
+        [result] = self._solver.solve(
+            rng=rng if rng is not None else np.random.default_rng(0),
+            warm_starts=[warm_start],
+            ce_std_scale=ce_std_scale,
         )
+        return result
+
+
+def solve_games(
+    community: Community,
+    price_vectors: Sequence[ArrayLike],
+    *,
+    sellback_divisor: float = 2.0,
+    config: GameConfig | None = None,
+    seed: int = 0,
+    warm_starts: Sequence[GameResult | None] | None = None,
+    ce_std_scale: float = 1.0,
+    tariff: "Tariff | None" = None,
+) -> list[GameResult]:
+    """Solve independent games over one community in a lockstep batch.
+
+    Entry ``g`` of the result is bitwise-identical to::
+
+        SchedulingGame(
+            community, price_vectors[g],
+            sellback_divisor=sellback_divisor, config=config,
+            tariff=tariff,
+        ).solve(
+            rng=np.random.default_rng(seed),
+            warm_start=warm_starts[g],
+            ce_std_scale=ce_std_scale,
+        )
+
+    while sharing every array operation across the batch.
+    """
+    solver = LockstepGameSolver(
+        community,
+        price_vectors,
+        sellback_divisor=sellback_divisor,
+        config=config,
+        tariff=tariff,
+    )
+    return solver.solve(
+        rng=np.random.default_rng(seed),
+        warm_starts=warm_starts,
+        ce_std_scale=ce_std_scale,
+    )

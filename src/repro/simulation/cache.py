@@ -15,16 +15,22 @@ risk of collision.  The in-memory tier is a bounded LRU; the optional
 on-disk tier persists each solution as an ``.npz`` of the strategy
 arrays (plus a JSON manifest) and reconstructs the full
 :class:`~repro.scheduling.game.GameResult` against the live community.
+Both files are written to a temporary name and renamed into place, so a
+crash never leaves a torn entry; an entry damaged anyway (truncated,
+bit-flipped, or written for another community) is a counted miss that
+is re-solved and rewritten.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -190,26 +196,66 @@ def _result_from_arrays(
     arrays: dict[str, np.ndarray], community: Community
 ) -> GameResult:
     """Rebuild a GameResult from persisted arrays and the live community."""
+
+    def vector(name: str) -> tuple[float, ...]:
+        values = arrays[name]
+        if values.shape != (community.horizon,):
+            raise ValueError(
+                f"{name} has shape {values.shape}, not ({community.horizon},)"
+            )
+        return tuple(values)
+
     states = []
     for i, customer in enumerate(community.customers):
         schedules = tuple(
-            ApplianceSchedule(task=task, power=tuple(arrays[f"a{i}_t{j}_power"]))
+            ApplianceSchedule(task=task, power=vector(f"a{i}_t{j}_power"))
             for j, task in enumerate(customer.tasks)
         )
         states.append(
             CustomerState(
                 customer=customer,
                 schedules=schedules,
-                battery_decision=tuple(arrays[f"a{i}_battery"]),
+                battery_decision=vector(f"a{i}_battery"),
             )
+        )
+    counts = tuple(int(c) for c in arrays["counts"])
+    if counts != community.counts:
+        raise ValueError(
+            f"entry counts {counts} do not match the community's "
+            f"{community.counts}"
         )
     return GameResult(
         states=tuple(states),
-        counts=tuple(int(c) for c in arrays["counts"]),
+        counts=counts,
         rounds=int(arrays["rounds"]),
         converged=bool(arrays["converged"]),
         residuals=tuple(float(r) for r in arrays["residuals"]),
     )
+
+
+_DAMAGE = (
+    OSError,
+    EOFError,
+    KeyError,
+    ValueError,
+    RuntimeError,
+    zipfile.BadZipFile,
+)
+"""What reading a damaged or mismatched ``.npz`` entry raises.
+
+Found by flipping every bit position of a real entry and truncating it
+at every length: ``zipfile`` reports bad CRCs and headers as
+``BadZipFile``, a flipped compression or encryption flag as
+``NotImplementedError`` / ``RuntimeError``, and numpy a torn array
+header as ``ValueError`` or ``EOFError``."""
+
+
+def _atomic_write(path: Path, write: Callable[[Any], None]) -> None:
+    """Write ``path`` through a sibling temp file and an atomic rename."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    with open(tmp, "wb") as handle:
+        write(handle)
+    os.replace(tmp, path)
 
 
 class GameSolutionCache:
@@ -421,28 +467,41 @@ class GameSolutionCache:
         return self.directory / f"{key}.npz"
 
     def _persist(self, key: str, result: GameResult) -> None:
-        path = self._path(key)
-        if path.exists():
-            return
-        np.savez(path, **_result_to_arrays(result))
+        """Write one entry and its manifest line.
+
+        Only called with a freshly computed solution, so an existing
+        file here is damaged (or was never checked against a community)
+        and is replaced.
+        """
+        arrays = _result_to_arrays(result)
+        _atomic_write(self._path(key), lambda handle: np.savez(handle, **arrays))
         manifest_path = self.directory / "manifest.json"  # type: ignore[operator]
-        manifest: dict[str, dict[str, object]] = {}
-        if manifest_path.exists():
-            manifest = json.loads(manifest_path.read_text())
+        manifest: dict[str, object] = {}
+        try:
+            loaded = json.loads(manifest_path.read_text())
+            if isinstance(loaded, dict):
+                manifest = loaded
+        except (OSError, ValueError):
+            pass  # missing or damaged: the entries themselves are the truth
         manifest[key] = {
             "archetypes": len(result.states),
             "rounds": result.rounds,
             "converged": result.converged,
         }
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        text = json.dumps(manifest, indent=2, sort_keys=True)
+        _atomic_write(manifest_path, lambda handle: handle.write(text.encode()))
 
     def _load(self, key: str, community: Community) -> GameResult | None:
         path = self._path(key)
         if not path.exists():
             return None
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        return _result_from_arrays(arrays, community)
+        try:
+            with np.load(path) as data:
+                arrays = {name: data[name] for name in data.files}
+            return _result_from_arrays(arrays, community)
+        except _DAMAGE:
+            PERF.add("cache.disk_damaged")
+            return None
 
 
 _GLOBAL_CACHE: GameSolutionCache | None = None

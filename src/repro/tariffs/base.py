@@ -36,7 +36,7 @@ from repro.tariffs.model import TariffCostModel
 CostModel = Union[NetMeteringCostModel, TariffCostModel]
 """What the scheduling game's cost hook accepts: the legacy flat model
 (kernel-accelerated fast path) or the generalized tariff model
-(backend-independent pure-numpy path)."""
+(pure-numpy path)."""
 
 
 @dataclass(frozen=True)

@@ -237,10 +237,8 @@ class TariffCostModel:
 
         ``decisions`` has shape ``(..., H)`` (candidate end-of-slot
         battery levels); returns total cost per candidate with shape
-        ``decisions.shape[:-1]``.  The pure-numpy analogue of the kernel
-        backends' ``battery_costs`` — backend-independent by
-        construction, so every backend prices generalized tariffs
-        identically.
+        ``decisions.shape[:-1]``.  The pure-numpy analogue of the flat
+        net-metering kernel ``battery_costs``.
         """
         if multiplicity < 1:
             raise ValueError(f"multiplicity must be >= 1, got {multiplicity}")

@@ -1,12 +1,13 @@
-"""Lockstep batched game solving vs the sequential per-game loop.
+"""Batch invariance of the lockstep game solver.
 
 ``solve_games`` advances many independent games (same community and
 seed, different price vectors) in lockstep so the CE population, DP
 tables and cost kernels run once per batch instead of once per game.
 The contract is bitwise: entry ``g`` must equal the result of solving
-game ``g`` alone through :class:`SchedulingGame`.  These tests pin that
-contract for cold starts, warm starts, mixed batches and both kernel
-backends.
+game ``g`` alone through :class:`SchedulingGame`, which is the same
+solver at one game.  These tests pin that contract for cold starts,
+warm starts, mixed batches, generalized tariffs, the paper-literal sign
+convention, and for the production kernels against the test oracle.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ import numpy as np
 import pytest
 
 from repro.core.config import GameConfig
-from repro.kernels import available_backends
-from repro.scheduling.batch import solve_games
-from repro.scheduling.game import Community, GameResult, SchedulingGame
+from repro.kernels import get_backend
+from repro.scheduling.game import (
+    Community,
+    GameResult,
+    LockstepGameSolver,
+    SchedulingGame,
+    solve_games,
+)
+from repro.tariffs import named_tariff
 from tests.conftest import HORIZON, make_customer
+from tests.kernel_oracle import KERNEL_METHODS, ReferenceKernels
 
 FAST = GameConfig(
     max_rounds=3,
@@ -57,17 +65,20 @@ def _sequential(
     seed: int = 0,
     warm_starts=None,
     ce_std_scale: float = 1.0,
+    config: GameConfig = FAST,
+    tariff=None,
 ) -> list[GameResult]:
     results = []
     for g, prices in enumerate(price_vectors):
         warm = warm_starts[g] if warm_starts is not None else None
         results.append(
             SchedulingGame(
-                community, prices, sellback_divisor=2.0, config=FAST
+                community, prices, sellback_divisor=2.0, config=config,
+                tariff=tariff,
             ).solve(
-                rng=np.random.default_rng(seed),  # repro: noqa[SEED003] lockstep oracle: same stream per game on purpose
+                rng=np.random.default_rng(seed),  # repro: noqa[SEED003] batch-invariance oracle: same stream per game on purpose
                 warm_start=warm,
-                ce_std_scale=ce_std_scale if warm is not None else 1.0,
+                ce_std_scale=ce_std_scale,
             )
         )
     return results
@@ -87,6 +98,15 @@ def assert_results_equal(batched: GameResult, single: GameResult) -> None:
     )
 
 
+@pytest.fixture
+def oracle_kernels(monkeypatch):
+    """Route every kernel call through the test oracle for one test."""
+    kernels = get_backend()
+    oracle = ReferenceKernels()
+    for name in KERNEL_METHODS:
+        monkeypatch.setattr(kernels, name, getattr(oracle, name))
+
+
 class TestColdBatch:
     def test_batch_matches_sequential_loop(self, community):
         prices = _prices(4)
@@ -100,15 +120,29 @@ class TestColdBatch:
         [single] = _sequential(community, prices, seed=5)
         assert_results_equal(batched, single)
 
-    def test_backend_invariant(self, community):
+    def test_backend_invariant(self, community, request):
+        """The production kernels and the oracle solve identical games."""
         prices = _prices(3)
-        per_backend = [
-            solve_games(community, prices, config=FAST, backend=name)
-            for name in available_backends()
-        ]
-        for results in per_backend[1:]:
-            for a, b in zip(per_backend[0], results):
-                assert_results_equal(a, b)
+        production = solve_games(community, prices, config=FAST)
+        request.getfixturevalue("oracle_kernels")
+        oracle = solve_games(community, prices, config=FAST)
+        for a, b in zip(production, oracle):
+            assert_results_equal(a, b)
+
+    def test_games_stopping_at_different_rounds(self, community):
+        """Games that converge early drop out; the rest keep their streams."""
+        config = GameConfig(
+            max_rounds=8,
+            inner_iterations=1,
+            ce_samples=12,
+            ce_elites=3,
+            ce_iterations=3,
+        )
+        prices = [np.full(HORIZON, 0.03)] + _prices(3)
+        batched = solve_games(community, prices, config=config)
+        assert len({r.rounds for r in batched}) > 1
+        for b, s in zip(batched, _sequential(community, prices, config=config)):
+            assert_results_equal(b, s)
 
     def test_empty_batch_rejected(self, community):
         with pytest.raises(ValueError, match="at least one price vector"):
@@ -163,3 +197,23 @@ class TestWarmBatch:
             for _ in range(2)
         ]
         assert_results_equal(runs[0], runs[1])
+
+
+class TestTariffBatch:
+    """Generalized tariffs take the pure-numpy costing path."""
+
+    @pytest.mark.parametrize("name", ["nem3_spread", "tou", "flat_paper_literal"])
+    def test_tariff_batch_matches_sequential(self, community, name):
+        tariff = named_tariff(name)
+        prices = _prices(3)
+        batched = solve_games(community, prices, config=FAST, tariff=tariff)
+        sequential = _sequential(community, prices, tariff=tariff)
+        for b, s in zip(batched, sequential):
+            assert_results_equal(b, s)
+
+    @pytest.mark.parametrize("name", ["nem3_spread", "tou", "flat_paper_literal"])
+    def test_tariff_takes_the_generalized_path(self, community, name):
+        solver = LockstepGameSolver(
+            community, _prices(2), config=FAST, tariff=named_tariff(name)
+        )
+        assert solver._tariff_rates is not None

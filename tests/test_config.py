@@ -1,5 +1,9 @@
 """Tests for the configuration dataclasses."""
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core.config import (
@@ -10,8 +14,12 @@ from repro.core.config import (
     GameConfig,
     PricingConfig,
     SolarConfig,
+    SolverConfig,
     TimeGrid,
+    config_from_dict,
+    config_to_dict,
 )
+from repro.core.presets import smoke_preset
 
 
 class TestTimeGrid:
@@ -142,3 +150,55 @@ class TestCommunityConfig:
         assert updated.n_customers == 10
         assert updated.seed == 1
         assert config.n_customers == 500  # original untouched
+
+
+# ``config_to_dict`` output of a smoke-preset config written before the
+# kernel-backend and lockstep-batching switches were retired, with both
+# switched away from their defaults.
+RETIRED_SOLVER_PAYLOAD = json.loads(
+    '{"appliances_per_customer": [2, 3], "battery": {"capacity_kwh": 4.0, '
+    '"initial_kwh": 0.0, "max_charge_kw": 1.0, "max_discharge_kw": 1.0}, '
+    '"detection": {"damage_per_meter": 1.0, "discount": 0.92, '
+    '"hack_probability": 0.08, "margin_noise_std": 0.03, '
+    '"n_monitored_meters": 4, "par_threshold": 0.1, '
+    '"repair_cost_per_meter": 1.0, "repair_fixed_cost": 2.0}, "game": '
+    '{"ce_elites": 4, "ce_iterations": 4, "ce_samples": 16, '
+    '"ce_smoothing": 0.7, "convergence_tol": 0.01, "hysteresis": 0.002, '
+    '"inner_iterations": 1, "max_rounds": 3}, "n_customers": 12, '
+    '"pricing": {"base_price": 0.01, "demand_slope": 0.038, '
+    '"noise_std": 0.0015, "sellback_divisor": 1.5}, "pv_adoption": 1.0, '
+    '"seed": 7, "solar": {"cloud_reversion": 0.5, "cloud_volatility": 0.15, '
+    '"peak_kw": 0.5, "sunrise_hour": 6.0, "sunset_hour": 19.0}, "solver": '
+    '{"backend": "fused", "batch_games": false, "ce_warm_std_scale": 0.25, '
+    '"warm_start": true, "warm_start_max_distance": 0.1}, "time": '
+    '{"n_days": 1, "slots_per_day": 24}}'
+)
+
+
+class TestSolverConfigCompat:
+    def test_payload_with_retired_solver_fields_loads(self):
+        config = config_from_dict(RETIRED_SOLVER_PAYLOAD)
+        assert config.solver == SolverConfig(
+            warm_start=True, warm_start_max_distance=0.1
+        )
+        assert config == smoke_preset().with_updates(solver=config.solver)
+
+    def test_round_trip(self):
+        config = smoke_preset().with_updates(
+            solver=SolverConfig(warm_start=True)
+        )
+        assert config_from_dict(config_to_dict(config)) == config
+
+    def test_fingerprint_unchanged_by_retirement(self):
+        """The payload still carries the retired fields at the values
+        every run now has, so config digests stay byte-stable."""
+        payload = config_to_dict(smoke_preset())
+        assert payload["solver"]["backend"] == "auto"
+        assert payload["solver"]["batch_games"] is True
+        digest = hashlib.sha256(
+            json.dumps(payload, sort_keys=True).encode("utf-8")
+        ).hexdigest()
+        golden = json.loads(
+            (Path(__file__).parent / "golden" / "smoke_digests.json").read_text()
+        )
+        assert digest == golden["config_sha256"]

@@ -155,7 +155,7 @@ class TestSchedulingGame:
         a, b = solve(4), solve(4)
         np.testing.assert_array_equal(a.community_load, b.community_load)
 
-    def test_best_response_does_not_increase_cost(self, small_community, rng):
+    def test_best_response_does_not_increase_cost(self, small_community):
         """A best-response pass never worsens the customer's own cost."""
         game = SchedulingGame(small_community, flat_prices(), config=FAST)
         state = game.initial_state(small_community.customers[0])
@@ -163,7 +163,7 @@ class TestSchedulingGame:
         before = game.cost_model.customer_cost_per_slot(
             state.trading, others, multiplicity=3
         ).sum()
-        new_state = game.best_response(state, others, rng, multiplicity=3)
+        new_state = game.best_response(state, others, multiplicity=3)
         after = game.cost_model.customer_cost_per_slot(
             new_state.trading, others, multiplicity=3
         ).sum()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from repro.faults.chaos import bitflip_file, truncate_file
 from repro.perf.counters import PERF
 from repro.simulation.cache import (
     GameSolutionCache,
@@ -14,7 +17,7 @@ from repro.simulation.cache import (
     solve_context_key,
 )
 from repro.detection.single_event import CommunityResponseSimulator
-from repro.scheduling.game import SchedulingGame
+from repro.scheduling.game import Community, SchedulingGame
 from repro.simulation.scenario import run_long_term_scenario
 
 
@@ -142,6 +145,81 @@ class TestGameSolutionCache:
         )
         assert reader.hits == 1
         _assert_results_equal(original, reloaded)
+
+
+class TestDiskDamage:
+    """A damaged on-disk entry is a counted miss, re-solved and rewritten."""
+
+    def _written(self, community, prices, directory):
+        result = _solve(community, prices)
+        GameSolutionCache(directory=directory).get_or_solve(
+            "k", lambda: result, community=community
+        )
+        return result, (directory / "k.npz").read_bytes()
+
+    def _reread(self, community, directory, result):
+        reader = GameSolutionCache(directory=directory)
+        solved = []
+        reloaded = reader.get_or_solve(
+            "k", lambda: solved.append(1) or result, community=community
+        )
+        return reader, solved, reloaded
+
+    def test_truncated_entry_is_resolved(self, small_community, prices, tmp_path):
+        result, intact = self._written(small_community, prices, tmp_path)
+        truncate_file(tmp_path / "k.npz", keep_fraction=0.5)
+        before = PERF.get("cache.disk_damaged")
+        reader, solved, reloaded = self._reread(small_community, tmp_path, result)
+        assert solved and (reader.hits, reader.misses) == (0, 1)
+        assert PERF.get("cache.disk_damaged") == before + 1
+        _assert_results_equal(result, reloaded)
+        # The re-solve rewrote the entry: the next reader hits.
+        assert (tmp_path / "k.npz").read_bytes() == intact
+        again, solved_again, _ = self._reread(small_community, tmp_path, result)
+        assert not solved_again and again.hits == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_bitflipped_entry_never_crashes(
+        self, small_community, prices, tmp_path, seed
+    ):
+        result, intact = self._written(small_community, prices, tmp_path)
+        bitflip_file(tmp_path / "k.npz", np.random.default_rng(seed))
+        reader, solved, reloaded = self._reread(small_community, tmp_path, result)
+        # A flip in unchecked zip metadata is harmless; anything else is
+        # a miss.  Either way the caller gets the right solution.
+        assert reader.hits + reader.misses == 1
+        assert bool(solved) == (reader.misses == 1)
+        _assert_results_equal(result, reloaded)
+
+    def test_peek_skips_damage_and_put_rewrites(
+        self, small_community, prices, tmp_path
+    ):
+        result, intact = self._written(small_community, prices, tmp_path)
+        truncate_file(tmp_path / "k.npz", keep_fraction=0.3)
+        cache = GameSolutionCache(directory=tmp_path)
+        assert cache.peek("k", community=small_community) is None
+        cache.put("k", result, community=small_community)
+        assert (tmp_path / "k.npz").read_bytes() == intact
+
+    def test_entry_for_another_community_is_a_miss(
+        self, small_community, prices, tmp_path
+    ):
+        result, _ = self._written(small_community, prices, tmp_path)
+        other = Community(
+            customers=small_community.customers, counts=(1, 1)
+        )
+        reader, solved, _ = self._reread(other, tmp_path, result)
+        assert solved and reader.misses == 1
+
+    def test_damaged_manifest_is_rebuilt(self, small_community, prices, tmp_path):
+        result, _ = self._written(small_community, prices, tmp_path)
+        truncate_file(tmp_path / "manifest.json", keep_fraction=0.5)
+        GameSolutionCache(directory=tmp_path).put(
+            "k2", result, community=small_community
+        )
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert "k2" in manifest
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSimulatorSharing:

@@ -7,8 +7,7 @@ detector variants, at the golden 48-slot horizon.  Two contracts:
 
 1. A fresh :func:`~repro.reporting.golden.compute_matrix_digests` run
    matches the committed fixture leaf for leaf (metrics verbatim, array
-   digests bitwise) — on every kernel backend (CI reruns this file
-   under ``REPRO_BACKEND=reference`` and ``REPRO_BACKEND=fused``).
+   digests bitwise).
 2. The matrix *contains* the paper's Table 1 run as cells: the
    ``("flat", "peak_increase")`` column is digest-identical to the
    scenario entries already pinned by ``smoke_digests.json``, because

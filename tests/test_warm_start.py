@@ -22,7 +22,7 @@ import pytest
 
 from repro.core.config import GameConfig, SolverConfig
 from repro.detection.single_event import CommunityResponseSimulator
-from repro.scheduling.batch import solve_games
+from repro.scheduling.game import solve_games
 from repro.scheduling.game import Community
 from repro.simulation.cache import (
     GameSolutionCache,
