@@ -37,9 +37,8 @@ def problem(environment) -> BatteryProblem:
         pv=customer.pv,
         others_trading=tuple(np.full(H, 60.0)),
         spec=config.battery,
-        cost_model=NetMeteringCostModel(
-            prices=tuple(prices),
-            sellback_divisor=config.pricing.sellback_divisor,
+        cost_model=NetMeteringCostModel.flat(
+            prices, config.pricing.sellback_divisor
         ),
     )
 

@@ -41,7 +41,7 @@ def main() -> None:
         pv=tuple(pv),
         others_trading=tuple(np.full(24, 40.0)),
         spec=spec,
-        cost_model=NetMeteringCostModel(prices=tuple(prices), sellback_divisor=2.0),
+        cost_model=NetMeteringCostModel.flat(prices, 2.0),
     )
 
     idle_cost = problem.cost(np.full(24, spec.initial_kwh))

@@ -346,9 +346,10 @@ class CommunityConfig:
 
     ``tariff`` selects the billing structure the scheduling game prices
     decisions through (:mod:`repro.tariffs`).  ``None`` — the default —
-    is the paper's implicit flat net-metering tariff via the legacy code
-    path: bitwise-identical results, identical cache keys, identical
-    config fingerprints (serialization omits the field entirely).
+    is the paper's implicit flat net-metering tariff
+    (:meth:`~repro.netmetering.cost.NetMeteringCostModel.flat`):
+    bitwise-identical results, identical cache keys, identical config
+    fingerprints (serialization omits the field entirely).
     """
 
     n_customers: int = 500

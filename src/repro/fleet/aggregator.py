@@ -46,7 +46,13 @@ from repro.obs.prometheus import render_prometheus
 from repro.obs.scoreboard import ScoreboardPublisher
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
-from repro.service.app import ServiceError, _int_field, _int_param, _TextResponse
+from repro.service.app import (
+    ServiceError,
+    _int_field,
+    _int_param,
+    _TextResponse,
+    read_json_body,
+)
 
 
 class FleetAggregator:
@@ -211,22 +217,6 @@ class _FleetHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError as exc:
-            raise ServiceError("invalid Content-Length header") from exc
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServiceError("request body must be a JSON object")
-        return payload
-
     def _dispatch(self, method: str) -> None:
         from urllib.parse import parse_qs, urlparse
 
@@ -235,7 +225,10 @@ class _FleetHandler(BaseHTTPRequestHandler):
         try:
             payload = self._route(method, parsed.path, query)
         except ServiceError as exc:
-            self._respond(400, {"error": str(exc), "code": exc.code, "status": 400})
+            self._respond(
+                exc.status,
+                {"error": str(exc), "code": exc.code, "status": exc.status},
+            )
             return
         except Exception as exc:  # pragma: no cover - defensive
             self._respond(
@@ -297,7 +290,7 @@ class _FleetHandler(BaseHTTPRequestHandler):
             return None
         if method == "POST":
             if path == "/advance":
-                body = self._read_json()
+                body = read_json_body(self)
                 unknown = set(body) - {"ticks", "until_day"}
                 if unknown:
                     raise ServiceError(f"unknown fields: {sorted(unknown)}")
@@ -306,9 +299,9 @@ class _FleetHandler(BaseHTTPRequestHandler):
                     until_day=_int_field(body, "until_day"),
                 )
             if path == "/envelope":
-                return aggregator.ingest_envelope(self._read_json())
+                return aggregator.ingest_envelope(read_json_body(self))
             if path == "/checkpoint":
-                body = self._read_json()
+                body = read_json_body(self)
                 if body:
                     raise ServiceError(f"unknown fields: {sorted(body)}")
                 return aggregator.checkpoint()

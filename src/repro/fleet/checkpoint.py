@@ -19,10 +19,10 @@ reported as :class:`repro.stream.checkpoint.CheckpointError`.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.fileio import atomic_write
 from repro.fleet.ring import HashRing
 from repro.fleet.worker import ShardWorker
 from repro.simulation.cache import GameSolutionCache
@@ -45,12 +45,6 @@ def _shard_filename(shard_id: str) -> str:
     return f"shard-{shard_id}.json"
 
 
-def _atomic_write(path: Path, payload: dict[str, Any]) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def save_fleet_checkpoint(fleet: "FleetEngine", directory: str | Path) -> Path:
     """Persist the whole fleet; returns the manifest path."""
     directory = Path(directory)
@@ -68,7 +62,9 @@ def save_fleet_checkpoint(fleet: "FleetEngine", directory: str | Path) -> Path:
         }
         for cid in worker.community_ids:
             assignments[cid] = worker.shard_id
-        _atomic_write(directory / _shard_filename(worker.shard_id), shard_payload)
+        atomic_write(
+            directory / _shard_filename(worker.shard_id), json.dumps(shard_payload)
+        )
     manifest = {
         "format": FLEET_FORMAT,
         "version": FLEET_VERSION,
@@ -80,7 +76,7 @@ def save_fleet_checkpoint(fleet: "FleetEngine", directory: str | Path) -> Path:
         "communities": {cid: assignments[cid] for cid in sorted(assignments)},
     }
     manifest_path = directory / FLEET_MANIFEST_NAME
-    _atomic_write(manifest_path, manifest)
+    atomic_write(manifest_path, json.dumps(manifest))
     return manifest_path
 
 

@@ -2,8 +2,9 @@
 
 The game solver spends essentially all of its time in three array
 kernels: projecting cross-entropy battery populations onto the feasible
-trajectory set, scoring those populations under the quadratic
-net-metering tariff, and the backward dynamic program over appliance
+trajectory set, scoring those populations under the one quadratic
+net-metering cost model (any tariff's buy/sell rate rows, export cap
+and sign reading), and the backward dynamic program over appliance
 power levels.  They live here, as the methods of the one
 :class:`FusedKernels` object that :func:`get_backend` returns (the
 :class:`KernelBackend` protocol names them).  Callers look a method up on
@@ -16,7 +17,8 @@ inputs the pipeline produces (finite, box-clipped CE populations; finite
 DP cost tables).  Those sequences are kept verbatim as a test oracle in
 ``tests/kernel_oracle.py``, and ``tests/test_kernels.py`` checks every
 kernel against it and against the pre-kernel implementations
-(``clamp_trajectory_batch``, ``BatteryProblem.cost_batch``).
+(``clamp_trajectory_batch``, ``BatteryProblem.cost_batch``) for every
+named tariff's rate rows.
 
 Three observations let the kernels shed most of the oracle's allocation
 and ufunc-dispatch overhead without changing a single output bit:
@@ -29,9 +31,10 @@ and ufunc-dispatch overhead without changing a single output bit:
   a no-op on finite input.  Each forward step is four ``out=`` ufunc
   calls into two reused buffers.
 - **Cost**: ``np.diff`` is plain subtraction, so the trading array can
-  be built directly into a preallocated buffer, and the buy/sell
-  branches reuse the community-total buffer.  Operand order matches the
-  oracle exactly.
+  be built directly into a preallocated buffer, and the selling branch
+  (capped quantity, sign flip) reuses the community-total buffer.
+  Operand order matches the oracle and
+  :func:`repro.netmetering.cost.customer_cost_terms` exactly.
 - **DP**: the oracle loops over levels, keeping a candidate only when
   it is strictly below the best so far.  That keeps the *first* level
   reaching the minimum, which is exactly what ``argmin`` over a level
@@ -131,15 +134,19 @@ class KernelBackend(Protocol):
         load: FloatArray,
         pv: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
-        sellback_divisor: float,
+        buy: FloatArray,
+        sell: FloatArray,
+        export_cap: float | None,
+        paper_literal: bool,
         multiplicity: int,
     ) -> FloatArray:
         """Customer cost of each battery decision under Eqn. (2).
 
         ``decisions`` has shape ``(..., H)``; ``load``, ``pv``,
-        ``others`` and ``prices`` must broadcast against it.  Returns the
-        per-row total cost with the last axis summed out.
+        ``others`` and the ``buy``/``sell`` rate rows must broadcast
+        against it.  ``export_cap`` and ``paper_literal`` are the cost
+        model's (see :func:`repro.netmetering.cost.customer_cost_terms`).
+        Returns the per-row total cost with the last axis summed out.
         """
         ...
 
@@ -207,8 +214,10 @@ class FusedKernels:
         load: FloatArray,
         pv: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
-        sellback_divisor: float,
+        buy: FloatArray,
+        sell: FloatArray,
+        export_cap: float | None,
+        paper_literal: bool,
         multiplicity: int,
     ) -> FloatArray:
         d = np.asarray(decisions, dtype=float)
@@ -222,12 +231,18 @@ class FusedKernels:
         total = np.multiply(y, multiplicity, out=np.empty_like(d))
         np.add(others, total, out=total)
         np.maximum(total, 0.0, out=total)
-        # buy = (p * total) * y; sell = ((p / W) * total) * y
-        buy = np.multiply(prices, total, out=np.empty_like(d))
-        np.multiply(buy, y, out=buy)
-        np.multiply(prices / sellback_divisor, total, out=total)
-        np.multiply(total, y, out=total)
-        cost = np.where(y >= 0, buy, total)
+        # buying = (buy * total) * y
+        buying = np.multiply(buy, total, out=np.empty_like(d))
+        np.multiply(buying, y, out=buying)
+        # selling = +-(sell * total) * max(y, -cap), in the total buffer
+        np.multiply(sell, total, out=total)
+        if export_cap is None:
+            np.multiply(total, y, out=total)
+        else:
+            np.multiply(total, np.maximum(y, -float(export_cap)), out=total)
+        if paper_literal:
+            np.negative(total, out=total)
+        cost = np.where(y >= 0, buying, total)
         return np.asarray(cost.sum(axis=-1), dtype=float)
 
     def dp_backward(

@@ -27,6 +27,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from repro.fileio import atomic_write
 from repro.obs.trace import Span, Tracer
 
 AGGREGATOR_PID = 1
@@ -208,9 +209,4 @@ def write_fleet_trace(
     tracer: Tracer, layout: Mapping[str, Any], path: str | Path
 ) -> Path:
     """Serialize :func:`to_fleet_chrome_trace` to ``path`` (JSON)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(to_fleet_chrome_trace(tracer, layout)), encoding="utf-8"
-    )
-    return path
+    return atomic_write(path, json.dumps(to_fleet_chrome_trace(tracer, layout)))

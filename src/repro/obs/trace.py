@@ -42,6 +42,8 @@ from pathlib import Path
 from types import TracebackType
 from typing import Any, Callable, TypeVar
 
+from repro.fileio import atomic_write
+
 _AttrValue = Any
 _F = TypeVar("_F", bound=Callable[..., Any])
 
@@ -400,10 +402,7 @@ class Tracer:
 
     def write(self, path: str | Path) -> Path:
         """Serialize :meth:`to_chrome_trace` to ``path`` (JSON)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.to_chrome_trace()), encoding="utf-8")
-        return path
+        return atomic_write(path, json.dumps(self.to_chrome_trace()))
 
 
 TRACER = Tracer()

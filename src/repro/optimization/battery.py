@@ -26,9 +26,8 @@ from numpy.typing import ArrayLike, NDArray
 from repro.core.config import BatteryConfig
 from repro.kernels import get_backend
 from repro.netmetering.battery import clamp_trajectory, clamp_trajectory_batch
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.netmetering.cost import NetMeteringCostModel, customer_cost_terms
 from repro.optimization.cross_entropy import CrossEntropyOptimizer, OptimizationResult
-from repro.tariffs.model import TariffCostModel
 
 
 @dataclass(frozen=True)
@@ -45,7 +44,7 @@ class BatteryProblem:
     pv: tuple[float, ...]
     others_trading: tuple[float, ...]
     spec: BatteryConfig
-    cost_model: NetMeteringCostModel | TariffCostModel
+    cost_model: NetMeteringCostModel
     slot_hours: float = 1.0
     multiplicity: int = 1
 
@@ -124,58 +123,37 @@ class BatteryProblem:
         return float(per_slot.sum())
 
     def cost_batch(self, decisions: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Vectorized cost over a ``(K, H)`` population of decision vectors."""
+        """Vectorized cost over a ``(K, H)`` population of decision vectors.
+
+        The plain-numpy reference the battery kernel is checked against.
+        """
         if decisions.ndim != 2 or decisions.shape[1] != self.horizon:
             raise ValueError(
                 f"decisions must have shape (K, {self.horizon}), got {decisions.shape}"
-            )
-        if not self._flat_net_metering():
-            return self._tariff_model().battery_costs(
-                decisions,
-                initial_level=self.spec.initial_kwh,
-                load=np.asarray(self.load, dtype=float),
-                pv=np.asarray(self.pv, dtype=float),
-                others_trading=np.asarray(self.others_trading, dtype=float),
-                multiplicity=self.multiplicity,
             )
         b0 = np.full((decisions.shape[0], 1), self.spec.initial_kwh)
         full = np.hstack([b0, decisions])
         load = np.asarray(self.load, dtype=float)
         pv = np.asarray(self.pv, dtype=float)
         y = load[None, :] + np.diff(full, axis=1) - pv[None, :]
-        p = self.cost_model.price_array[None, :]
-        others = np.asarray(self.others_trading, dtype=float)[None, :]
-        total = np.maximum(others + self.multiplicity * y, 0.0)
-        cost = np.where(
-            y >= 0,
-            p * total * y,
-            (p / self.cost_model.sellback_divisor) * total * y,
+        model = self.cost_model
+        cost = customer_cost_terms(
+            y,
+            np.asarray(self.others_trading, dtype=float)[None, :],
+            buy_rates=model.buy_array[None, :],
+            sell_rates=model.sell_array[None, :],
+            export_cap_kwh=model.export_cap_kwh,
+            paper_literal=model.paper_literal,
+            multiplicity=self.multiplicity,
         )
         return cost.sum(axis=1)
-
-    def _flat_net_metering(self) -> bool:
-        """Whether the fast legacy/kernel formula prices this problem.
-
-        Only the default-sign flat model qualifies; paper-literal or
-        generalized-tariff models route through
-        :meth:`TariffCostModel.battery_costs` (pure numpy).
-        """
-        return (
-            isinstance(self.cost_model, NetMeteringCostModel)
-            and not self.cost_model.paper_literal
-        )
-
-    def _tariff_model(self) -> TariffCostModel:
-        if isinstance(self.cost_model, TariffCostModel):
-            return self.cost_model
-        return TariffCostModel.from_net_metering(self.cost_model)
 
 
 class BatteryOptimizer:
     """Cross-entropy search over battery trajectories for one customer.
 
-    The projection and the flat net-metering cost evaluations run on the
-    array kernels of :mod:`repro.kernels`.
+    The projection and the cost evaluations run on the array kernels of
+    :mod:`repro.kernels`.
     """
 
     def __init__(
@@ -217,25 +195,9 @@ class BatteryOptimizer:
                 max_discharge=spec.max_discharge_kw * problem.slot_hours,
             )
 
-        if not problem._flat_net_metering():
-            # Generalized tariffs price through one pure-numpy path.
-            tariff_model = problem._tariff_model()
-
-            def tariff_cost(
-                decisions: NDArray[np.float64],
-            ) -> NDArray[np.float64]:
-                return tariff_model.battery_costs(
-                    decisions,
-                    initial_level=spec.initial_kwh,
-                    load=load,
-                    pv=pv,
-                    others_trading=others,
-                    multiplicity=problem.multiplicity,
-                )
-
-            return project, tariff_cost
-
-        prices = problem.cost_model.price_array
+        model = problem.cost_model
+        buy = model.buy_array
+        sell = model.sell_array
 
         def cost(decisions: NDArray[np.float64]) -> NDArray[np.float64]:
             return kernels.battery_costs(
@@ -244,8 +206,10 @@ class BatteryOptimizer:
                 load=load,
                 pv=pv,
                 others=others,
-                prices=prices,
-                sellback_divisor=problem.cost_model.sellback_divisor,
+                buy=buy,
+                sell=sell,
+                export_cap=model.export_cap_kwh,
+                paper_literal=model.paper_literal,
                 multiplicity=problem.multiplicity,
             )
 

@@ -29,6 +29,7 @@ from repro.core.config import CommunityConfig, SolverConfig
 from repro.core.presets import bench_preset, smoke_preset
 from repro.obs.logs import configure_logging, get_logger
 from repro.data.community import build_community
+from repro.fileio import atomic_write
 from repro.optimization.battery import BatteryOptimizer, BatteryProblem
 from repro.optimization.cross_entropy import CrossEntropyOptimizer
 from repro.perf.counters import PERF
@@ -72,7 +73,6 @@ def write_bench_json(path: str | Path, entry: dict[str, object]) -> None:
     replaced rather than crashing the bench run.
     """
     target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
     payload: dict[str, list[dict[str, object]]] = {"entries": []}
     if target.exists():
         try:
@@ -82,7 +82,7 @@ def write_bench_json(path: str | Path, entry: dict[str, object]) -> None:
         except json.JSONDecodeError:
             pass
     payload["entries"].append(entry)
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    atomic_write(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _time(fn: Callable[[], object], *, repeats: int = 1) -> float:

@@ -56,16 +56,19 @@ from numpy.typing import ArrayLike, NDArray
 
 from repro.core.config import GameConfig
 from repro.kernels import get_backend
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.netmetering.cost import (
+    NetMeteringCostModel,
+    customer_cost_terms,
+    marginal_tables,
+)
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule
 from repro.scheduling.customer import Customer, CustomerState
 from repro.scheduling.dp import schedule_appliance_tables
-from repro.tariffs.model import TariffCostModel, tariff_cost_terms
 
 if TYPE_CHECKING:
-    from repro.tariffs.base import CostModel, Tariff
+    from repro.tariffs.base import Tariff
 
 FloatArray = NDArray[np.float64]
 
@@ -155,101 +158,6 @@ class GameResult:
         return np.maximum(self.community_trading, 0.0)
 
 
-def _cost_per_slot(
-    trading: FloatArray,
-    others: FloatArray,
-    prices: FloatArray,
-    sellback_divisor: float,
-    multiplicity: int,
-) -> FloatArray:
-    """Row-batched :meth:`NetMeteringCostModel.customer_cost_per_slot`."""
-    total = np.maximum(others + multiplicity * trading, 0.0)
-    return np.asarray(
-        np.where(
-            trading >= 0,
-            prices * total * trading,
-            (prices / sellback_divisor) * total * trading,
-        )
-    )
-
-
-def _marginal_tables(
-    base_trading: FloatArray,
-    others: FloatArray,
-    levels: FloatArray,
-    prices: FloatArray,
-    sellback_divisor: float,
-    multiplicity: int,
-    slot_hours: float,
-) -> FloatArray:
-    """Row-batched :meth:`NetMeteringCostModel.marginal_cost_table`."""
-    lv = np.asarray(levels, dtype=float) * slot_hours
-    base_cost = _cost_per_slot(
-        base_trading, others, prices, sellback_divisor, multiplicity
-    )
-    y_new = base_trading[:, :, None] + lv[None, None, :]
-    p = prices[:, :, None]
-    total = np.maximum(others[:, :, None] + multiplicity * y_new, 0.0)
-    cost_new = np.where(
-        y_new >= 0,
-        p * total * y_new,
-        (p / sellback_divisor) * total * y_new,
-    )
-    return np.asarray(cost_new - base_cost[:, :, None])
-
-
-def _tariff_cost_per_slot(
-    trading: FloatArray,
-    others: FloatArray,
-    buy: FloatArray,
-    sell: FloatArray,
-    export_cap: float | None,
-    paper_literal: bool,
-    multiplicity: int,
-) -> FloatArray:
-    """Row-batched :meth:`TariffCostModel.customer_cost_per_slot`."""
-    return np.asarray(
-        tariff_cost_terms(
-            trading,
-            others,
-            buy_rates=buy,
-            sell_rates=sell,
-            export_cap_kwh=export_cap,
-            paper_literal=paper_literal,
-            multiplicity=multiplicity,
-        )
-    )
-
-
-def _tariff_marginal_tables(
-    base_trading: FloatArray,
-    others: FloatArray,
-    levels: FloatArray,
-    buy: FloatArray,
-    sell: FloatArray,
-    export_cap: float | None,
-    paper_literal: bool,
-    multiplicity: int,
-    slot_hours: float,
-) -> FloatArray:
-    """Row-batched :meth:`TariffCostModel.marginal_cost_table`."""
-    lv = np.asarray(levels, dtype=float) * slot_hours
-    base_cost = _tariff_cost_per_slot(
-        base_trading, others, buy, sell, export_cap, paper_literal, multiplicity
-    )
-    y_new = base_trading[:, :, None] + lv[None, None, :]
-    cost_new = tariff_cost_terms(
-        y_new,
-        others[:, :, None],
-        buy_rates=buy[:, :, None],
-        sell_rates=sell[:, :, None],
-        export_cap_kwh=export_cap,
-        paper_literal=paper_literal,
-        multiplicity=multiplicity,
-    )
-    return np.asarray(cost_new - base_cost[:, :, None])
-
-
 class _LockstepState:
     """Strategy arrays for one archetype across all games in the batch.
 
@@ -316,7 +224,6 @@ class LockstepGameSolver:
         # Hourly slots: a kW power level consumes that many kWh per slot,
         # which keeps appliance loads, PV and trading in the same unit.
         self.slot_hours = 1.0
-        self.sellback_divisor = float(sellback_divisor)
         self.tariff = tariff
         horizon = community.horizon
         prices = np.stack(
@@ -327,54 +234,24 @@ class LockstepGameSolver:
                 f"price vectors must each have shape ({horizon},), "
                 f"got stacked shape {prices.shape}"
             )
-        # The cost hook: with no tariff, the paper's flat net-metering
-        # model; a tariff supplies its own model through the same
-        # duck-typed surface.  Per-game models validate the prices
-        # (finite, non-negative) and serve scalar costing to callers.
-        if tariff is None:
-            self.cost_models: list[CostModel] = [
-                NetMeteringCostModel(
-                    prices=tuple(p), sellback_divisor=self.sellback_divisor
-                )
-                for p in prices
-            ]
-        else:
-            self.cost_models = [
-                tariff.cost_model(p, sellback_divisor=self.sellback_divisor)
-                for p in prices
-            ]
-        first = self.cost_models[0]
-        if isinstance(first, NetMeteringCostModel) and not first.paper_literal:
-            # Flat net metering (with or without an explicit tariff):
-            # keep the scalar-divisor formulas and the kernel battery
-            # fast path.  The tariff may pin its own divisor, so take
-            # it from the built model rather than the argument.
-            self.sellback_divisor = float(first.sellback_divisor)
-            self._tariff_rates: tuple[FloatArray, FloatArray] | None = None
-            self._export_cap: float | None = None
-            self._paper_literal = False
-        else:
-            # Generalized path: stack per-game rate rows once; every
-            # costing site then shares the same pure-numpy formula the
-            # one-game TariffCostModel evaluates row by row.
-            models = [
-                m
-                if isinstance(m, TariffCostModel)
-                else TariffCostModel.from_net_metering(m)
-                for m in self.cost_models
-            ]
-            self._tariff_rates = (
-                np.stack([m.price_array for m in models]),
-                np.stack([m.sell_array for m in models]),
-            )
-            self._export_cap = models[0].export_cap_kwh
-            self._paper_literal = models[0].paper_literal
-        # The import-side rates drive the greedy warm start (identical
-        # to the guideline prices when no tariff reshapes them).
-        self.greedy_prices = np.stack(
-            [m.price_array for m in self.cost_models]
-        )
-        self.prices = prices
+        # One cost model per game: with no tariff, the paper's flat net
+        # metering; a tariff supplies its own rates.  The models validate
+        # the prices (finite, non-negative) and serve scalar costing to
+        # callers.
+        sellback_divisor = float(sellback_divisor)
+        self.cost_models = [
+            NetMeteringCostModel.flat(p, sellback_divisor)
+            if tariff is None
+            else tariff.cost_model(p, sellback_divisor=sellback_divisor)
+            for p in prices
+        ]
+        # Per-game rate rows, stacked once; the export cap and the sign
+        # reading belong to the tariff, so every game shares them.  The
+        # buy rates also drive the greedy warm start.
+        self.buy_rates = np.stack([m.buy_array for m in self.cost_models])
+        self.sell_rates = np.stack([m.sell_array for m in self.cost_models])
+        self.export_cap = self.cost_models[0].export_cap_kwh
+        self.paper_literal = self.cost_models[0].paper_literal
         self.n_games = prices.shape[0]
         # Per-(customer, task) tables that are pure functions of static
         # identity: the DP tie-break jitter (a fresh seeded generator
@@ -424,7 +301,7 @@ class LockstepGameSolver:
             for t, task in enumerate(customer.tasks):
                 levels = np.asarray(task.power_levels)
                 tables = (
-                    self.greedy_prices[cold][:, :, None]
+                    self.buy_rates[cold][:, :, None]
                     * levels[None, None, :]
                     * self.slot_hours
                 )
@@ -451,11 +328,11 @@ class LockstepGameSolver:
         customer: Customer,
         load: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
+        buy: FloatArray,
+        sell: FloatArray,
         x0: FloatArray,
         multiplicity: int,
         std_scales: FloatArray,
-        tariff_rates: tuple[FloatArray, FloatArray] | None,
     ) -> tuple[FloatArray, FloatArray]:
         """Batched CE over battery trajectories; one game per row.
 
@@ -475,10 +352,7 @@ class LockstepGameSolver:
         pv = customer.pv_array
         max_charge = spec.max_charge_kw * self.slot_hours
         max_discharge = spec.max_discharge_kw * self.slot_hours
-        if tariff_rates is None:
-            columns = (load, others, prices)
-        else:
-            columns = (load, others, tariff_rates[0], tariff_rates[1])
+        columns = (load, others, buy, sell)
         grouped = tuple(c[:, None, :] for c in columns)
 
         def project(decisions: FloatArray) -> FloatArray:
@@ -495,34 +369,19 @@ class LockstepGameSolver:
 
         def score(decisions: FloatArray, rows: tuple[FloatArray, ...]) -> FloatArray:
             """Per-row cost of ``decisions`` against the given row data."""
-            if tariff_rates is None:
-                row_load, row_others, row_prices = rows
-                return kernels.battery_costs(
-                    decisions,
-                    initial=spec.initial_kwh,
-                    load=row_load,
-                    pv=pv,
-                    others=row_others,
-                    prices=row_prices,
-                    sellback_divisor=self.sellback_divisor,
-                    multiplicity=multiplicity,
-                )
-            # Generalized tariffs score through the same pure-numpy
-            # formula the one-game TariffCostModel.battery_costs uses.
-            row_load, row_others, buy, sell = rows
-            start = np.full(decisions.shape[:-1] + (1,), spec.initial_kwh)
-            trajectory = np.concatenate([start, decisions], axis=-1)
-            trading = row_load + np.diff(trajectory, axis=-1) - pv
-            cost = tariff_cost_terms(
-                trading,
-                row_others,
-                buy_rates=buy,
-                sell_rates=sell,
-                export_cap_kwh=self._export_cap,
-                paper_literal=self._paper_literal,
+            row_load, row_others, row_buy, row_sell = rows
+            return kernels.battery_costs(
+                decisions,
+                initial=spec.initial_kwh,
+                load=row_load,
+                pv=pv,
+                others=row_others,
+                buy=row_buy,
+                sell=row_sell,
+                export_cap=self.export_cap,
+                paper_literal=self.paper_literal,
                 multiplicity=multiplicity,
             )
-            return np.asarray(cost.sum(axis=-1))
 
         mean = np.clip(x0, lower, upper)
         std = np.maximum(span / 4.0 * std_scales[:, None], _CE_STD_FLOOR)
@@ -634,7 +493,7 @@ class LockstepGameSolver:
         ``others`` must exclude all ``multiplicity`` instances of the
         archetype; the herd move of identical instances is priced inside
         the marginal tables (see
-        :meth:`NetMeteringCostModel.marginal_cost_table`).
+        :func:`repro.netmetering.cost.marginal_tables`).
 
         ``hysteresis_scale`` anneals the acceptance threshold: the outer
         loop raises it round by round, so best-response cycling between
@@ -644,28 +503,18 @@ class LockstepGameSolver:
         """
         threshold_rate = self.config.hysteresis * hysteresis_scale
         customer = state.customer
-        prices = self.prices[rows]
-        if self._tariff_rates is None:
-            rate_rows = None
-        else:
-            rate_rows = (
-                self._tariff_rates[0][rows],
-                self._tariff_rates[1][rows],
-            )
+        buy = self.buy_rates[rows]
+        sell = self.sell_rates[rows]
 
         def costs_per_slot(trading: FloatArray) -> FloatArray:
-            if rate_rows is None:
-                return _cost_per_slot(
-                    trading, others, prices, self.sellback_divisor, multiplicity
-                )
-            return _tariff_cost_per_slot(
+            return customer_cost_terms(
                 trading,
                 others,
-                rate_rows[0],
-                rate_rows[1],
-                self._export_cap,
-                self._paper_literal,
-                multiplicity,
+                buy_rates=buy,
+                sell_rates=sell,
+                export_cap_kwh=self.export_cap,
+                paper_literal=self.paper_literal,
+                multiplicity=multiplicity,
             )
 
         for _ in range(self.config.inner_iterations):
@@ -685,28 +534,17 @@ class LockstepGameSolver:
                 jitter, levels = self._task_tables(customer, index)
                 power = state.power[rows, index, :]
                 base_trading = state.trading[rows] - power * self.slot_hours
-                if rate_rows is None:
-                    tables = _marginal_tables(
-                        base_trading,
-                        others,
-                        levels,
-                        prices,
-                        self.sellback_divisor,
-                        multiplicity,
-                        self.slot_hours,
-                    )
-                else:
-                    tables = _tariff_marginal_tables(
-                        base_trading,
-                        others,
-                        levels,
-                        rate_rows[0],
-                        rate_rows[1],
-                        self._export_cap,
-                        self._paper_literal,
-                        multiplicity,
-                        self.slot_hours,
-                    )
+                tables = marginal_tables(
+                    base_trading,
+                    others,
+                    levels,
+                    buy_rates=buy,
+                    sell_rates=sell,
+                    export_cap_kwh=self.export_cap,
+                    paper_literal=self.paper_literal,
+                    multiplicity=multiplicity,
+                    slot_hours=self.slot_hours,
+                )
                 tables += jitter
                 tables[:, :, 0] = 0.0  # idling stays exactly free
                 schedules, optimal_costs = schedule_appliance_tables(
@@ -724,11 +562,11 @@ class LockstepGameSolver:
                     customer,
                     state.load[rows],
                     others,
-                    prices,
+                    buy,
+                    sell,
                     state.battery[rows],
                     multiplicity,
                     ce_std_scales,
-                    rate_rows,
                 )
                 current_costs = costs_per_slot(state.trading[rows]).sum(axis=1)
                 # Accept only clear improvements: chasing CE sampling
@@ -879,7 +717,7 @@ class SchedulingGame:
         self.community = community
         self.config = self._solver.config
         self.tariff = tariff
-        self.cost_model: CostModel = self._solver.cost_models[0]
+        self.cost_model = self._solver.cost_models[0]
 
     def initial_state(self, customer: Customer) -> CustomerState:
         """Greedy warm start: price-only scheduling, idle battery."""

@@ -74,9 +74,8 @@ class HouseholdResponseSimulator:
         cached = self._cache.get(key)
         if cached is not None:
             return cached.copy()
-        cost_model = NetMeteringCostModel(
-            prices=tuple(np.maximum(p, 0.0)),
-            sellback_divisor=self.sellback_divisor,
+        cost_model = NetMeteringCostModel.flat(
+            np.maximum(p, 0.0), self.sellback_divisor
         )
         problem = BatteryProblem(
             load=tuple(load),

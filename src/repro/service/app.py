@@ -33,7 +33,10 @@ Endpoints
 
 Malformed requests never surface as 500s: every client error is a
 structured JSON body ``{"error": ..., "code": ..., "status": ...}``
-with the matching 4xx status.
+with the matching 4xx status.  Request bodies are bounded by
+:data:`MAX_BODY_BYTES` before a byte is read (413 beyond it; 400 for a
+negative ``Content-Length``); :func:`read_json_body` enforces this for
+this service and for the fleet aggregator.
 
 On SIGTERM/SIGINT the service checkpoints the engine (atomic rename, see
 :mod:`repro.stream.checkpoint`) before shutting down, so a killed
@@ -63,12 +66,58 @@ from repro.stream.events import MeterReading, event_from_dict
 from repro.stream.pipeline import StreamEngine
 
 
+MAX_BODY_BYTES = 1 << 20
+"""Largest request body either HTTP server reads (bytes).
+
+The largest body the repo's own clients send is a full-tick
+:meth:`~repro.fleet.loadgen.LoadGenerator.envelopes` envelope: about
+75 kB for 12 paper-preset communities (~6.3 kB per community), so
+1 MiB admits full ticks of ~160 such communities."""
+
+
 class ServiceError(ValueError):
     """A client error the handler maps to a structured 4xx response."""
 
-    def __init__(self, message: str, *, code: str = "bad_request") -> None:
+    def __init__(
+        self, message: str, *, code: str = "bad_request", status: int = 400
+    ) -> None:
         super().__init__(message)
         self.code = code
+        self.status = status
+
+
+def read_json_body(handler: BaseHTTPRequestHandler) -> dict[str, Any]:
+    """Read a request's JSON-object body, bounded before reading.
+
+    The declared ``Content-Length`` is checked first: a negative length
+    would read to EOF (a client that keeps its connection open then
+    hangs the handler) and a huge one would read without limit.  A rejected body is never read;
+    both servers speak HTTP/1.0, so the connection closes after the
+    error response.
+    """
+    try:
+        length = int(handler.headers.get("Content-Length") or 0)
+    except ValueError as exc:
+        raise ServiceError("invalid Content-Length header") from exc
+    if length < 0:
+        raise ServiceError(f"negative Content-Length {length}")
+    if length > MAX_BODY_BYTES:
+        raise ServiceError(
+            f"request body of {length} bytes exceeds the "
+            f"{MAX_BODY_BYTES}-byte limit",
+            code="body_too_large",
+            status=413,
+        )
+    if length == 0:
+        return {}
+    raw = handler.rfile.read(length)
+    try:
+        payload = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ServiceError(f"request body is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ServiceError("request body must be a JSON object")
+    return payload
 
 
 class DetectionService:
@@ -362,22 +411,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_json(self) -> dict[str, Any]:
-        try:
-            length = int(self.headers.get("Content-Length") or 0)
-        except ValueError as exc:
-            raise ServiceError("invalid Content-Length header") from exc
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise ServiceError(f"request body is not valid JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ServiceError("request body must be a JSON object")
-        return payload
-
     def _dispatch(self, method: str) -> None:
         parsed = urlparse(self.path)
         query = parse_qs(parsed.query)
@@ -385,7 +418,8 @@ class _Handler(BaseHTTPRequestHandler):
             payload = self._route(method, parsed.path, query)
         except ServiceError as exc:
             self._respond(
-                400, {"error": str(exc), "code": exc.code, "status": 400}
+                exc.status,
+                {"error": str(exc), "code": exc.code, "status": exc.status},
             )
             return
         except Exception as exc:  # pragma: no cover - defensive
@@ -450,9 +484,9 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         if method == "POST":
             if path == "/events":
-                return service.push_event(self._read_json())
+                return service.push_event(read_json_body(self))
             if path == "/advance":
-                body = self._read_json()
+                body = read_json_body(self)
                 unknown = set(body) - {"max_events", "until_day"}
                 if unknown:
                     raise ServiceError(f"unknown fields: {sorted(unknown)}")
@@ -461,9 +495,9 @@ class _Handler(BaseHTTPRequestHandler):
                     until_day=_int_field(body, "until_day"),
                 )
             if path == "/faults":
-                return service.install_faults(self._read_json())
+                return service.install_faults(read_json_body(self))
             if path == "/checkpoint":
-                body = self._read_json()  # drain + validate (body must be empty JSON)
+                body = read_json_body(self)  # drain + validate (body must be empty JSON)
                 if body:
                     raise ServiceError(f"unknown fields: {sorted(body)}")
                 return service.checkpoint()

@@ -25,17 +25,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import zipfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.core.config import GameConfig
+from repro.fileio import atomic_write
 from repro.perf.counters import PERF
 from repro.scheduling.appliance import ApplianceSchedule
 from repro.scheduling.customer import CustomerState
@@ -114,7 +114,7 @@ def solve_context_key(
     :func:`solution_key`, so the per-solve hashing cost is one SHA-256
     over ~200 bytes.
 
-    ``tariff=None`` (the legacy flat net-metering billing) hashes the
+    ``tariff=None`` (the paper's flat net-metering billing) hashes the
     exact historical payload, so every pre-tariff cache entry — in
     memory or on disk — remains addressable; a non-default tariff
     appends its content fingerprint, giving each billing structure its
@@ -248,14 +248,6 @@ at every length: ``zipfile`` reports bad CRCs and headers as
 ``BadZipFile``, a flipped compression or encryption flag as
 ``NotImplementedError`` / ``RuntimeError``, and numpy a torn array
 header as ``ValueError`` or ``EOFError``."""
-
-
-def _atomic_write(path: Path, write: Callable[[Any], None]) -> None:
-    """Write ``path`` through a sibling temp file and an atomic rename."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        write(handle)
-    os.replace(tmp, path)
 
 
 class GameSolutionCache:
@@ -474,7 +466,7 @@ class GameSolutionCache:
         and is replaced.
         """
         arrays = _result_to_arrays(result)
-        _atomic_write(self._path(key), lambda handle: np.savez(handle, **arrays))
+        atomic_write(self._path(key), lambda handle: np.savez(handle, **arrays))
         manifest_path = self.directory / "manifest.json"  # type: ignore[operator]
         manifest: dict[str, object] = {}
         try:
@@ -489,7 +481,7 @@ class GameSolutionCache:
             "converged": result.converged,
         }
         text = json.dumps(manifest, indent=2, sort_keys=True)
-        _atomic_write(manifest_path, lambda handle: handle.write(text.encode()))
+        atomic_write(manifest_path, text)
 
     def _load(self, key: str, community: Community) -> GameResult | None:
         path = self._path(key)

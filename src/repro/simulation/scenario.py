@@ -243,7 +243,7 @@ def run_long_term_scenario(
         predicted_simulator = truth_simulator
     else:
         # The unaware detector's model predates tariffs entirely: it
-        # keeps the legacy flat pricing regardless of ``config.tariff``.
+        # keeps the paper's flat pricing regardless of ``config.tariff``.
         predicted_simulator = CommunityResponseSimulator(
             community.without_net_metering(),
             config=config.game,

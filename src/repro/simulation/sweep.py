@@ -329,9 +329,9 @@ def sweep_matrix(
     ----------
     tariffs:
         Named tariffs from :data:`repro.tariffs.NAMED_TARIFFS`.
-        ``"flat"`` resolves to ``tariff=None`` — the legacy flat
-        net-metering path — so its cells are bitwise-identical to the
-        pre-tariff Table 1 pipeline.
+        ``"flat"`` resolves to ``tariff=None`` — the paper's flat net
+        metering — so its cells are bitwise-identical to the pre-tariff
+        Table 1 pipeline.
     attack_families:
         Entries of :data:`repro.attacks.ATTACK_FAMILIES` driving the
         meter-hacking campaigns.

@@ -20,12 +20,12 @@ points.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.config import config_from_dict
 from repro.faults.plan import FaultPlan
+from repro.fileio import atomic_write
 from repro.obs.manifest import build_manifest
 from repro.simulation.cache import GameSolutionCache
 
@@ -77,13 +77,7 @@ def save_checkpoint(engine: Any, path: str | Path) -> Path:
     the service's SIGTERM handler racing a kill) never leaves a torn
     checkpoint behind.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = checkpoint_payload(engine)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps(payload), encoding="utf-8")
-    os.replace(tmp, path)
-    return path
+    return atomic_write(path, json.dumps(checkpoint_payload(engine)))
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Any]:

@@ -1,14 +1,15 @@
 """First-class tariff layer (ROADMAP item 3: Table 1 as one matrix cell).
 
-Public surface: the :class:`Tariff` protocol and registry, the
-generalized :class:`TariffCostModel`, and the concrete catalog
-(:class:`FlatNetMetering`, :class:`BuySellSpread`, :class:`TimeOfUse`,
-:class:`MonthlyNetting`).  See docs/SCENARIOS.md for the config grammar
-and the tariff × attack × PV-penetration matrix these feed.
+Public surface: the :class:`Tariff` protocol and registry, and the
+concrete catalog (:class:`FlatNetMetering`, :class:`BuySellSpread`,
+:class:`TimeOfUse`, :class:`MonthlyNetting`).  A tariff is a choice of
+buy/sell rates, export cap and sign reading for the one cost model,
+:class:`~repro.netmetering.cost.NetMeteringCostModel`.  See
+docs/SCENARIOS.md for the config grammar and the tariff × attack ×
+PV-penetration matrix these feed.
 """
 
 from repro.tariffs.base import (
-    CostModel,
     Tariff,
     register_tariff,
     tariff_fingerprint,
@@ -24,20 +25,16 @@ from repro.tariffs.catalog import (
     TimeOfUse,
     named_tariff,
 )
-from repro.tariffs.model import TariffCostModel, tariff_cost_terms
 
 __all__ = [
     "BuySellSpread",
-    "CostModel",
     "FlatNetMetering",
     "MonthlyNetting",
     "NAMED_TARIFFS",
     "Tariff",
-    "TariffCostModel",
     "TimeOfUse",
     "named_tariff",
     "register_tariff",
-    "tariff_cost_terms",
     "tariff_fingerprint",
     "tariff_from_dict",
     "tariff_kinds",

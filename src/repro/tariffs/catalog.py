@@ -1,14 +1,17 @@
 """Concrete tariffs: the paper's flat net metering plus three variants.
 
+Every tariff prices through the one cost model,
+:class:`~repro.netmetering.cost.NetMeteringCostModel`; a tariff only
+chooses its per-slot buy and sell rates, export cap and sign reading.
+
 =====================  =====================================================
 Tariff                 Billing structure
 =====================  =====================================================
 ``FlatNetMetering``    The paper's implicit tariff: flat buy at the
-                       guideline price, sell at ``p/W``.  With default
-                       parameters it returns the *identical legacy*
-                       :class:`~repro.netmetering.cost.NetMeteringCostModel`
-                       object, so scheduling, caching and kernels are
-                       bitwise-unchanged — Table 1 is reproduced exactly.
+                       guideline price, sell at ``p/W``
+                       (:meth:`NetMeteringCostModel.flat`).  With default
+                       parameters it builds the same model as
+                       ``tariff=None``, so Table 1 is reproduced exactly.
 ``BuySellSpread``      NEM-3-style decoupling (Alahmed & Tong,
                        arXiv:2212.03311): buy at ``markup * p``, sell at
                        ``fraction * p``, optionally with a per-slot
@@ -26,8 +29,8 @@ Tariff                 Billing structure
 
 ``named_tariff`` maps CLI/config grammar names (``flat``, ``tou``, …)
 onto instances for the matrix runner; ``"flat"`` maps to ``None`` — the
-*absence* of a tariff — so the matrix's flat-net-metering column runs
-through exactly the legacy code path and cache keys.
+*absence* of a tariff — so the matrix's flat-net-metering column keeps
+the cache keys of every run configured without a tariff.
 """
 
 from __future__ import annotations
@@ -38,8 +41,21 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from repro.netmetering.cost import NetMeteringCostModel
-from repro.tariffs.base import CostModel, Tariff, register_tariff
-from repro.tariffs.model import TariffCostModel
+from repro.tariffs.base import Tariff, register_tariff
+
+
+def _checked_divisor(divisor: float | None) -> float | None:
+    """A tariff's pinned ``W`` as a float, or ``None`` to inherit it."""
+    if divisor is None:
+        return None
+    divisor = float(divisor)
+    if not np.isfinite(divisor) or divisor < 1:
+        raise ValueError(f"sellback_divisor must be >= 1, got {divisor}")
+    return divisor
+
+
+def _divisor(pinned: float | None, inherited: float) -> float:
+    return float(inherited) if pinned is None else pinned
 
 
 @register_tariff
@@ -53,8 +69,7 @@ class FlatNetMetering(Tariff):
         Override for the pricing config's ``W``; ``None`` inherits it.
     paper_literal:
         Selling-branch sign (see :mod:`repro.netmetering.cost`).  The
-        default keeps the text's rewarding reading — and with it, the
-        bitwise-identical legacy cost model.
+        default keeps the text's rewarding reading.
     """
 
     kind = "flat_net_metering"
@@ -63,38 +78,17 @@ class FlatNetMetering(Tariff):
     paper_literal: bool = False
 
     def __post_init__(self) -> None:
-        if self.sellback_divisor is not None:
-            divisor = float(self.sellback_divisor)
-            object.__setattr__(self, "sellback_divisor", divisor)
-            if not np.isfinite(divisor) or divisor < 1:
-                raise ValueError(
-                    f"sellback_divisor must be >= 1, got {divisor}"
-                )
-
-    def _divisor(self, sellback_divisor: float) -> float:
-        return (
-            float(sellback_divisor)
-            if self.sellback_divisor is None
-            else self.sellback_divisor
+        object.__setattr__(
+            self, "sellback_divisor", _checked_divisor(self.sellback_divisor)
         )
 
     def cost_model(
         self, prices: ArrayLike, *, sellback_divisor: float
-    ) -> CostModel:
-        arr = self._price_array(prices)
-        divisor = self._divisor(sellback_divisor)
-        if not self.paper_literal:
-            # The actual legacy class — equivalence by construction, so
-            # the kernel fast paths and existing cache keys still apply.
-            return NetMeteringCostModel(
-                prices=tuple(float(v) for v in arr),
-                sellback_divisor=divisor,
-            )
-        return TariffCostModel(
-            buy_rates=tuple(float(v) for v in arr),
-            sell_rates=tuple(float(v) for v in arr / divisor),
-            export_cap_kwh=None,
-            paper_literal=True,
+    ) -> NetMeteringCostModel:
+        return NetMeteringCostModel.flat(
+            self._price_array(prices),
+            _divisor(self.sellback_divisor, sellback_divisor),
+            paper_literal=self.paper_literal,
         )
 
 
@@ -131,9 +125,9 @@ class BuySellSpread(Tariff):
 
     def cost_model(
         self, prices: ArrayLike, *, sellback_divisor: float
-    ) -> CostModel:
+    ) -> NetMeteringCostModel:
         arr = self._price_array(prices)
-        return TariffCostModel(
+        return NetMeteringCostModel(
             buy_rates=tuple(float(v) for v in arr * self.buy_markup),
             sell_rates=tuple(float(v) for v in arr * self.sell_fraction),
             export_cap_kwh=self.export_cap_kwh,
@@ -174,36 +168,28 @@ class TimeOfUse(Tariff):
             object.__setattr__(self, name, value)
             if not np.isfinite(value) or value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value}")
-        if self.sellback_divisor is not None:
-            divisor = float(self.sellback_divisor)
-            object.__setattr__(self, "sellback_divisor", divisor)
-            if not np.isfinite(divisor) or divisor < 1:
-                raise ValueError(f"sellback_divisor must be >= 1, got {divisor}")
+        object.__setattr__(
+            self, "sellback_divisor", _checked_divisor(self.sellback_divisor)
+        )
 
     def cost_model(
         self, prices: ArrayLike, *, sellback_divisor: float
-    ) -> CostModel:
+    ) -> NetMeteringCostModel:
         arr = self._price_array(prices)
         if self.peak_end_slot > arr.size:
             raise ValueError(
                 f"peak window [{self.peak_start_slot}, {self.peak_end_slot}) "
                 f"does not fit horizon {arr.size}"
             )
-        divisor = (
-            float(sellback_divisor)
-            if self.sellback_divisor is None
-            else self.sellback_divisor
-        )
+        divisor = _divisor(self.sellback_divisor, sellback_divisor)
         multipliers = np.full(arr.size, self.offpeak_multiplier)
         multipliers[self.peak_start_slot : self.peak_end_slot] = (
             self.peak_multiplier
         )
         buy = arr * multipliers
-        return TariffCostModel(
+        return NetMeteringCostModel(
             buy_rates=tuple(float(v) for v in buy),
             sell_rates=tuple(float(v) for v in buy / divisor),
-            export_cap_kwh=None,
-            paper_literal=False,
         )
 
 
@@ -228,24 +214,16 @@ class MonthlyNetting(Tariff):
     sellback_divisor: float | None = None
 
     def __post_init__(self) -> None:
-        if self.sellback_divisor is not None:
-            divisor = float(self.sellback_divisor)
-            object.__setattr__(self, "sellback_divisor", divisor)
-            if not np.isfinite(divisor) or divisor < 1:
-                raise ValueError(f"sellback_divisor must be >= 1, got {divisor}")
+        object.__setattr__(
+            self, "sellback_divisor", _checked_divisor(self.sellback_divisor)
+        )
 
     def cost_model(
         self, prices: ArrayLike, *, sellback_divisor: float
-    ) -> CostModel:
-        arr = self._price_array(prices)
-        divisor = (
-            float(sellback_divisor)
-            if self.sellback_divisor is None
-            else self.sellback_divisor
-        )
-        return NetMeteringCostModel(
-            prices=tuple(float(v) for v in arr),
-            sellback_divisor=divisor,
+    ) -> NetMeteringCostModel:
+        return NetMeteringCostModel.flat(
+            self._price_array(prices),
+            _divisor(self.sellback_divisor, sellback_divisor),
         )
 
     def settle(
@@ -274,8 +252,8 @@ class MonthlyNetting(Tariff):
 
 
 NAMED_TARIFFS: dict[str, Tariff | None] = {
-    # The paper's tariff via the legacy code path (no tariff object at
-    # all): identical cache keys, bitwise-identical Table 1.
+    # The paper's tariff as no tariff object at all: the cache keys of
+    # every run configured without a tariff, bitwise-identical Table 1.
     "flat": None,
     "flat_paper_literal": FlatNetMetering(paper_literal=True),
     "nem3_spread": BuySellSpread(sell_fraction=0.5),

@@ -14,7 +14,7 @@ from repro.core.config import (
     SolarConfig,
     TimeGrid,
 )
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.netmetering.cost import NetMeteringCostModel, marginal_tables
 from repro.scheduling.appliance import ApplianceTask
 from repro.scheduling.customer import Customer
 from repro.scheduling.game import Community
@@ -65,7 +65,30 @@ def battery_spec() -> BatteryConfig:
 
 @pytest.fixture
 def flat_cost_model() -> NetMeteringCostModel:
-    return NetMeteringCostModel(prices=tuple([0.03] * HORIZON), sellback_divisor=2.0)
+    return NetMeteringCostModel.flat([0.03] * HORIZON, 2.0)
+
+
+def marginal_table(
+    model: NetMeteringCostModel,
+    base_trading,
+    others_trading,
+    levels,
+    *,
+    multiplicity: int = 1,
+    slot_hours: float = 1.0,
+) -> np.ndarray:
+    """:func:`marginal_tables` for one customer: one row, ``(H, L)``."""
+    return marginal_tables(
+        np.asarray(base_trading, dtype=float)[None],
+        np.asarray(others_trading, dtype=float)[None],
+        levels,
+        buy_rates=model.buy_array[None],
+        sell_rates=model.sell_array[None],
+        export_cap_kwh=model.export_cap_kwh,
+        paper_literal=model.paper_literal,
+        multiplicity=multiplicity,
+        slot_hours=slot_hours,
+    )[0]
 
 
 def make_customer(

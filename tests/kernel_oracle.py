@@ -4,7 +4,10 @@ Every kernel here reproduces, operation for operation, the code paths
 the golden-master digests were recorded against
 (:func:`repro.netmetering.battery.clamp_trajectory_batch`,
 :meth:`repro.optimization.battery.BatteryProblem.cost_batch` and the
-historical backward loop of the appliance DP).  The production kernels
+historical backward loop of the appliance DP).  The battery cost is the
+historical generalized-tariff population formula; on the paper's flat
+rates (sell at ``p / W``, no cap, rewarding sign) it is the historical
+flat formula bit for bit.  The production kernels
 are checked bitwise against this class in ``tests/test_kernels.py``;
 the end-to-end checks swap its methods onto the production kernel
 object to solve whole games through the oracle.
@@ -63,18 +66,20 @@ class ReferenceKernels:
         load: FloatArray,
         pv: FloatArray,
         others: FloatArray,
-        prices: FloatArray,
-        sellback_divisor: float,
+        buy: FloatArray,
+        sell: FloatArray,
+        export_cap: float | None,
+        paper_literal: bool,
         multiplicity: int,
     ) -> FloatArray:
         full = prepend_initial(np.asarray(decisions, dtype=float), initial)
         y = load + np.diff(full, axis=-1) - pv
         total = np.maximum(others + multiplicity * y, 0.0)
-        cost = np.where(
-            y >= 0,
-            prices * total * y,
-            (prices / sellback_divisor) * total * y,
-        )
+        capped = y if export_cap is None else np.maximum(y, -float(export_cap))
+        selling = sell * total * capped
+        if paper_literal:
+            selling = -selling
+        cost = np.where(y >= 0, buy * total * y, selling)
         return np.asarray(cost.sum(axis=-1), dtype=float)
 
     def dp_backward(

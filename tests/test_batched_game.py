@@ -20,7 +20,6 @@ from repro.kernels import get_backend
 from repro.scheduling.game import (
     Community,
     GameResult,
-    LockstepGameSolver,
     SchedulingGame,
     solve_games,
 )
@@ -200,9 +199,12 @@ class TestWarmBatch:
 
 
 class TestTariffBatch:
-    """Generalized tariffs take the pure-numpy costing path."""
+    """Every named tariff, export cap and literal sign included, prices
+    through the one cost model and battery kernel the flat games use."""
 
-    @pytest.mark.parametrize("name", ["nem3_spread", "tou", "flat_paper_literal"])
+    @pytest.mark.parametrize(
+        "name", ["nem3_spread", "spread_capped", "tou", "flat_paper_literal"]
+    )
     def test_tariff_batch_matches_sequential(self, community, name):
         tariff = named_tariff(name)
         prices = _prices(3)
@@ -210,10 +212,3 @@ class TestTariffBatch:
         sequential = _sequential(community, prices, tariff=tariff)
         for b, s in zip(batched, sequential):
             assert_results_equal(b, s)
-
-    @pytest.mark.parametrize("name", ["nem3_spread", "tou", "flat_paper_literal"])
-    def test_tariff_takes_the_generalized_path(self, community, name):
-        solver = LockstepGameSolver(
-            community, _prices(2), config=FAST, tariff=named_tariff(name)
-        )
-        assert solver._tariff_rates is not None

@@ -27,7 +27,7 @@ def make_problem(
         pv=pv,
         others_trading=others,
         spec=spec,
-        cost_model=NetMeteringCostModel(prices=prices, sellback_divisor=2.0),
+        cost_model=NetMeteringCostModel.flat(prices, 2.0),
         multiplicity=multiplicity,
     )
 
@@ -40,7 +40,7 @@ class TestBatteryProblem:
                 pv=(0.0,) * (H - 1),
                 others_trading=(1.0,) * H,
                 spec=SPEC,
-                cost_model=NetMeteringCostModel(prices=(0.01,) * H),
+                cost_model=NetMeteringCostModel.flat((0.01,) * H),
             )
 
     def test_horizon_mismatch(self):
@@ -50,7 +50,7 @@ class TestBatteryProblem:
                 pv=(0.0,) * H,
                 others_trading=(1.0,) * H,
                 spec=SPEC,
-                cost_model=NetMeteringCostModel(prices=(0.01,) * (H + 1)),
+                cost_model=NetMeteringCostModel.flat((0.01,) * (H + 1)),
             )
 
     def test_trading_identity(self):

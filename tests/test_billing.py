@@ -64,7 +64,7 @@ class TestBillBreakdown:
 
 class TestCustomerBill:
     def test_buyer_only(self):
-        model = NetMeteringCostModel(prices=(0.02,) * 4, sellback_divisor=2.0)
+        model = NetMeteringCostModel.flat((0.02,) * 4, 2.0)
         trading = np.array([1.0, 2.0, 0.0, 1.0])
         others = np.full(4, 10.0)
         bill = customer_bill(trading, others, model)
@@ -74,7 +74,7 @@ class TestCustomerBill:
         assert bill.total == pytest.approx(model.customer_cost(trading, others))
 
     def test_seller_gets_credit(self):
-        model = NetMeteringCostModel(prices=(0.02,) * 4, sellback_divisor=2.0)
+        model = NetMeteringCostModel.flat((0.02,) * 4, 2.0)
         trading = np.array([-1.0, 0.5, 0.0, 0.0])
         others = np.full(4, 10.0)
         bill = customer_bill(trading, others, model)

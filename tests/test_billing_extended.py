@@ -23,7 +23,7 @@ class TestBillIdentity:
     )
     def test_charge_minus_credit_equals_cost(self, trading, others, w):
         """The bill decomposition always reconstructs the Eqn. (2) cost."""
-        model = NetMeteringCostModel(prices=(0.03,) * H, sellback_divisor=w)
+        model = NetMeteringCostModel.flat((0.03,) * H, w)
         bill = customer_bill(trading, others, model)
         assert bill.total == pytest.approx(
             model.customer_cost(trading, others), abs=1e-9
@@ -35,14 +35,14 @@ class TestBillIdentity:
         others=arrays(np.float64, H, elements=st.floats(0.0, 30.0)),
     )
     def test_quantities_partition_trading(self, trading, others):
-        model = NetMeteringCostModel(prices=(0.03,) * H)
+        model = NetMeteringCostModel.flat((0.03,) * H)
         bill = customer_bill(trading, others, model)
         assert bill.purchases_kwh - bill.sales_kwh == pytest.approx(
             trading.sum(), abs=1e-9
         )
 
     def test_charge_and_credit_nonnegative_by_construction(self):
-        model = NetMeteringCostModel(prices=(0.03,) * H)
+        model = NetMeteringCostModel.flat((0.03,) * H)
         trading = np.array([1.0, -1.0, 2.0, -0.5, 0.0, 0.5])
         others = np.full(H, 20.0)
         bill = customer_bill(trading, others, model)
@@ -57,8 +57,8 @@ class TestHigherSellbackDivisorSmallerCredit:
         others=arrays(np.float64, H, elements=st.floats(5.0, 30.0)),
     )
     def test_credit_decreases_in_w(self, trading, others):
-        cheap = NetMeteringCostModel(prices=(0.03,) * H, sellback_divisor=1.0)
-        stingy = NetMeteringCostModel(prices=(0.03,) * H, sellback_divisor=4.0)
+        cheap = NetMeteringCostModel.flat((0.03,) * H, 1.0)
+        stingy = NetMeteringCostModel.flat((0.03,) * H, 4.0)
         credit_cheap = customer_bill(trading, others, cheap).sellback_credit
         credit_stingy = customer_bill(trading, others, stingy).sellback_credit
         assert credit_cheap >= credit_stingy - 1e-12

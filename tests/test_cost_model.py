@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.netmetering.cost import NetMeteringCostModel
+from tests.conftest import marginal_table
 
 H = 4
 PRICES = (0.02, 0.03, 0.04, 0.05)
@@ -14,21 +15,21 @@ PRICES = (0.02, 0.03, 0.04, 0.05)
 
 @pytest.fixture
 def model() -> NetMeteringCostModel:
-    return NetMeteringCostModel(prices=PRICES, sellback_divisor=2.0)
+    return NetMeteringCostModel.flat(PRICES, 2.0)
 
 
 class TestConstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="non-empty"):
-            NetMeteringCostModel(prices=())
+            NetMeteringCostModel.flat(())
 
     def test_rejects_negative_price(self):
         with pytest.raises(ValueError, match="finite"):
-            NetMeteringCostModel(prices=(0.1, -0.1))
+            NetMeteringCostModel.flat((0.1, -0.1))
 
     def test_rejects_w_below_one(self):
         with pytest.raises(ValueError, match="sellback"):
-            NetMeteringCostModel(prices=PRICES, sellback_divisor=0.5)
+            NetMeteringCostModel.flat(PRICES, 0.5)
 
 
 class TestCustomerCost:
@@ -98,15 +99,17 @@ class TestCommunityCost:
     def test_customer_shares_bounded_by_community(self, total):
         """With one customer owning all trading, the share formula matches
         the community quadratic exactly."""
-        model = NetMeteringCostModel(prices=PRICES, sellback_divisor=2.0)
+        model = NetMeteringCostModel.flat(PRICES, 2.0)
         per_slot = model.customer_cost_per_slot(total, np.zeros(H))
         assert per_slot.sum() == pytest.approx(model.community_cost(total))
 
 
 class TestMarginalCostTable:
+    """The row-batched ``marginal_tables`` on a single row."""
+
     def test_zero_level_is_free(self, model):
-        table = model.marginal_cost_table(
-            np.ones(H), np.full(H, 5.0), np.array([0.0, 1.0, 2.0])
+        table = marginal_table(
+            model, np.ones(H), np.full(H, 5.0), np.array([0.0, 1.0, 2.0])
         )
         np.testing.assert_allclose(table[:, 0], 0.0, atol=1e-12)
 
@@ -115,7 +118,7 @@ class TestMarginalCostTable:
         base = np.array([1.0, 0.5, 0.0, 2.0])
         others = np.full(H, 8.0)
         levels = np.array([0.0, 1.0])
-        table = model.marginal_cost_table(base, others, levels)
+        table = marginal_table(model, base, others, levels)
         for h in range(H):
             bumped = base.copy()
             bumped[h] += 1.0
@@ -129,7 +132,7 @@ class TestMarginalCostTable:
         others = np.full(H, 8.0)
         levels = np.array([0.0, 1.0])
         m = 4
-        table = model.marginal_cost_table(base, others, levels, multiplicity=m)
+        table = marginal_table(model, base, others, levels, multiplicity=m)
         for h in range(H):
             bumped = base.copy()
             bumped[h] += 1.0
@@ -139,24 +142,24 @@ class TestMarginalCostTable:
 
     def test_increasing_in_level(self, model):
         """With positive community demand, more power costs more."""
-        table = model.marginal_cost_table(
-            np.ones(H), np.full(H, 10.0), np.array([0.0, 0.5, 1.0, 2.0])
+        table = marginal_table(
+            model, np.ones(H), np.full(H, 10.0), np.array([0.0, 0.5, 1.0, 2.0])
         )
         assert np.all(np.diff(table, axis=1) > 0)
 
     def test_slot_hours_scaling(self, model):
-        half = model.marginal_cost_table(
-            np.ones(H), np.full(H, 10.0), np.array([0.0, 1.0]), slot_hours=0.5
+        half = marginal_table(
+            model, np.ones(H), np.full(H, 10.0), np.array([0.0, 1.0]), slot_hours=0.5
         )
-        full = model.marginal_cost_table(
-            np.ones(H), np.full(H, 10.0), np.array([0.0, 0.5])
+        full = marginal_table(
+            model, np.ones(H), np.full(H, 10.0), np.array([0.0, 0.5])
         )
         np.testing.assert_allclose(half, full)
 
     def test_rejects_wrong_shapes(self, model):
         with pytest.raises(ValueError):
-            model.marginal_cost_table(np.ones(3), np.ones(H), np.array([0.0, 1.0]))
+            marginal_table(model, np.ones(3), np.ones(H), np.array([0.0, 1.0]))
         with pytest.raises(ValueError):
-            model.marginal_cost_table(
-                np.ones(H), np.ones(H), np.array([[0.0], [1.0]])
+            marginal_table(
+                model, np.ones(H), np.ones(H), np.array([[0.0], [1.0]])
             )

@@ -7,7 +7,8 @@ golden-master results fixed while the kernels get faster.  These tests
 drive the kernels over CE-style battery populations and appliance DP
 tables and assert exact equality, both against the oracle and against
 the pre-kernel historical implementations (``clamp_trajectory_batch``,
-``BatteryProblem.cost_batch``).  Each test runs on both the production
+``BatteryProblem.cost_batch``); the battery cost runs on the rate rows
+of every named tariff, export cap and literal sign included.  Each test runs on both the production
 kernels (``fused``) and the oracle (``reference``), so the oracle stays
 checked against the historical implementations too.
 """
@@ -28,6 +29,7 @@ from repro.scheduling.dp import (
     schedule_appliance_table,
     schedule_appliance_tables,
 )
+from repro.tariffs import named_tariff
 from tests.conftest import HORIZON, make_customer
 from tests.kernel_oracle import KERNEL_METHODS, ReferenceKernels
 
@@ -40,6 +42,15 @@ SPECS = [
     BatteryConfig(
         capacity_kwh=1.5, initial_kwh=0.2, max_charge_kw=0.4, max_discharge_kw=0.6
     ),
+]
+
+
+TARIFFS = ["flat", "nem3_spread", "spread_capped", "tou", "flat_paper_literal"]
+BATTERY_COST_CASES = [
+    # The flat cases keep the bare spec ids the suite has always used.
+    pytest.param(spec, name, id=f"spec{i}" if name == "flat" else f"spec{i}-{name}")
+    for name in TARIFFS
+    for i, spec in enumerate(SPECS)
 ]
 
 
@@ -129,51 +140,73 @@ class TestClampDecisions:
 
 
 class TestBatteryCosts:
-    def _problem(self, spec: BatteryConfig, seed: int) -> BatteryProblem:
+    """Kernel == oracle == ``BatteryProblem.cost_batch``, bitwise."""
+
+    def _problem(
+        self, spec: BatteryConfig, tariff_name: str, seed: int
+    ) -> BatteryProblem:
         rng = np.random.default_rng(seed)
-        prices = tuple(rng.uniform(0.01, 0.05, HORIZON))
+        prices = rng.uniform(0.01, 0.05, HORIZON)
+        tariff = named_tariff(tariff_name)
+        model = (
+            NetMeteringCostModel.flat(prices, 2.0)
+            if tariff is None
+            else tariff.cost_model(prices, sellback_divisor=2.0)
+        )
+        # Deep exports into a net-buying community, so the selling
+        # branch, its sign and the export cap all carry weight.
         return BatteryProblem(
             load=tuple(rng.uniform(0.2, 1.2, HORIZON)),
-            pv=tuple(rng.uniform(0.0, 0.6, HORIZON)),
-            others_trading=tuple(rng.uniform(-0.5, 2.0, HORIZON)),
+            pv=tuple(rng.uniform(0.0, 3.0, HORIZON)),
+            others_trading=tuple(rng.uniform(-0.5, 14.0, HORIZON)),
             spec=spec,
-            cost_model=NetMeteringCostModel(prices=prices, sellback_divisor=2.0),
+            cost_model=model,
             multiplicity=3,
         )
 
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_matches_reference_bitwise(self, backend, spec):
-        problem = self._problem(spec, seed=11)
-        decisions = problem.project_batch(_population(spec, (24,), seed=5))
-        kwargs = dict(
-            initial=spec.initial_kwh,
+    @staticmethod
+    def _kwargs(problem: BatteryProblem) -> dict:
+        model = problem.cost_model
+        return dict(
+            initial=problem.spec.initial_kwh,
             load=np.asarray(problem.load),
             pv=np.asarray(problem.pv),
             others=np.asarray(problem.others_trading),
-            prices=problem.cost_model.price_array,
-            sellback_divisor=problem.cost_model.sellback_divisor,
+            buy=model.buy_array,
+            sell=model.sell_array,
+            export_cap=model.export_cap_kwh,
+            paper_literal=model.paper_literal,
             multiplicity=problem.multiplicity,
         )
+
+    @pytest.mark.parametrize("spec, tariff_name", BATTERY_COST_CASES)
+    def test_matches_reference_bitwise(self, backend, spec, tariff_name):
+        problem = self._problem(spec, tariff_name, seed=11)
+        decisions = problem.project_batch(_population(spec, (24,), seed=5))
+        kwargs = self._kwargs(problem)
         np.testing.assert_array_equal(
             backend.battery_costs(decisions, **kwargs),
             REFERENCE.battery_costs(decisions, **kwargs),
         )
 
-    @pytest.mark.parametrize("spec", SPECS)
-    def test_matches_historical_cost_batch(self, backend, spec):
-        problem = self._problem(spec, seed=13)
+    @pytest.mark.parametrize("spec, tariff_name", BATTERY_COST_CASES)
+    def test_matches_historical_cost_batch(self, backend, spec, tariff_name):
+        problem = self._problem(spec, tariff_name, seed=13)
         decisions = problem.project_batch(_population(spec, (24,), seed=9))
-        ours = backend.battery_costs(
-            decisions,
-            initial=spec.initial_kwh,
-            load=np.asarray(problem.load),
-            pv=np.asarray(problem.pv),
-            others=np.asarray(problem.others_trading),
-            prices=problem.cost_model.price_array,
-            sellback_divisor=problem.cost_model.sellback_divisor,
-            multiplicity=problem.multiplicity,
-        )
+        ours = backend.battery_costs(decisions, **self._kwargs(problem))
         np.testing.assert_array_equal(ours, problem.cost_batch(decisions))
+
+    def test_cases_reach_the_cap_and_the_selling_branch(self):
+        """The capped case exports past its cap while neighbours buy."""
+        spec = SPECS[0]
+        problem = self._problem(spec, "spread_capped", seed=13)
+        decisions = problem.project_batch(_population(spec, (24,), seed=9))
+        trading = np.array([problem.trading(row) for row in decisions])
+        others = np.asarray(problem.others_trading)
+        demand = others + problem.multiplicity * trading > 0
+        cap = problem.cost_model.export_cap_kwh
+        assert np.any((trading < -cap) & demand)
+        assert np.any((trading < 0) & (trading >= -cap) & demand)
 
 
 class TestApplianceDp:

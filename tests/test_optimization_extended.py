@@ -24,7 +24,7 @@ def problem() -> BatteryProblem:
         pv=(0.0, 0.0, 0.5, 1.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
         others_trading=(15.0,) * H,
         spec=SPEC,
-        cost_model=NetMeteringCostModel(prices=tuple(prices), sellback_divisor=2.0),
+        cost_model=NetMeteringCostModel.flat(prices, 2.0),
     )
 
 

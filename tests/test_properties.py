@@ -18,6 +18,7 @@ from repro.netmetering.cost import NetMeteringCostModel
 from repro.netmetering.trading import trading_amounts
 from repro.scheduling.appliance import ApplianceTask
 from repro.scheduling.dp import schedule_appliance_table
+from tests.conftest import marginal_table
 
 H = 8
 
@@ -28,7 +29,7 @@ def cost_models(draw):
         arrays(np.float64, H, elements=st.floats(0.001, 0.2))
     )
     w = draw(st.floats(1.0, 5.0))
-    return NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
+    return NetMeteringCostModel.flat(prices, w)
 
 
 class TestCostIdentities:
@@ -63,7 +64,7 @@ class TestCostIdentities:
         per_slot = model.customer_cost_per_slot(
             trading, others, multiplicity=multiplicity
         )
-        prices = model.price_array
+        prices = model.buy_array
         total = np.maximum(others + multiplicity * trading, 0.0)
         bound = prices * total * np.abs(trading)
         assert np.all(np.abs(per_slot) <= bound + 1e-9)
@@ -78,10 +79,10 @@ class TestCostIdentities:
         """Adding level a then reading the marginal of level b from the new
         base equals the direct marginal of (a+b) from the original base."""
         levels = np.array([0.0, 0.5, 1.0])
-        direct = model.marginal_cost_table(base, others, np.array([0.0, 1.0]))
-        step1 = model.marginal_cost_table(base, others, np.array([0.0, 0.5]))
+        direct = marginal_table(model, base, others, np.array([0.0, 1.0]))
+        step1 = marginal_table(model, base, others, np.array([0.0, 0.5]))
         base2 = base + 0.5
-        step2 = model.marginal_cost_table(base2, others, np.array([0.0, 0.5]))
+        step2 = marginal_table(model, base2, others, np.array([0.0, 0.5]))
         np.testing.assert_allclose(
             direct[:, 1], step1[:, 1] + step2[:, 1], atol=1e-9
         )

@@ -51,9 +51,7 @@ def storage_problem(
         pv=tuple(pv),
         others_trading=tuple(np.zeros(len(load))),
         spec=spec,
-        cost_model=NetMeteringCostModel(
-            prices=tuple(prices), sellback_divisor=2.0
-        ),
+        cost_model=NetMeteringCostModel.flat(prices, 2.0),
     )
 
 
@@ -69,8 +67,8 @@ def lattice_oracle(problem: BatteryProblem, *, n_grid: int = 161) -> float:
     levels = np.linspace(0.0, spec.capacity_kwh, n_grid)
     load = np.asarray(problem.load)
     pv = np.asarray(problem.pv)
-    prices = problem.cost_model.price_array
-    divisor = problem.cost_model.sellback_divisor
+    buy = problem.cost_model.buy_array
+    sell = problem.cost_model.sell_array
     others = np.asarray(problem.others_trading)
     mult = problem.multiplicity
     dt = problem.slot_hours
@@ -84,7 +82,7 @@ def lattice_oracle(problem: BatteryProblem, *, n_grid: int = 161) -> float:
         y = load[h] + delta - pv[h]
         total = np.maximum(others[h] + mult * y, 0.0)
         stage = np.where(
-            y >= 0, prices[h] * total * y, (prices[h] / divisor) * total * y
+            y >= 0, buy[h] * total * y, sell[h] * total * y
         )
         value = np.where(feasible, stage + value[None, :], np.inf).min(axis=1)
 

@@ -10,9 +10,11 @@ rests on:
 - the NEM-3 export cap binds *exactly* at the cap — compensation below
   the cap matches the uncapped model bitwise, compensation beyond it is
   frozen at the cap quantity;
-- ``FlatNetMetering`` with an explicit divisor reproduces the legacy
-  :class:`~repro.netmetering.cost.NetMeteringCostModel` bitwise on
-  random communities (the Table 1 equivalence, in miniature);
+- ``FlatNetMetering`` with an explicit divisor builds the same
+  :class:`~repro.netmetering.cost.NetMeteringCostModel` as
+  ``tariff=None``, and that flat instance prices random communities
+  bitwise like the historical flat formula (the Table 1 equivalence, in
+  miniature);
 - serialization round-trips and fingerprints are stable for every
   registered tariff kind.
 """
@@ -23,16 +25,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.netmetering.cost import NetMeteringCostModel
+from repro.netmetering.cost import NetMeteringCostModel, customer_cost_terms
 from repro.tariffs import (
     NAMED_TARIFFS,
     BuySellSpread,
     FlatNetMetering,
     MonthlyNetting,
-    TariffCostModel,
     TimeOfUse,
     named_tariff,
-    tariff_cost_terms,
     tariff_fingerprint,
     tariff_from_dict,
     tariff_to_dict,
@@ -44,6 +44,16 @@ prices_st = arrays(np.float64, H, elements=st.floats(0.001, 0.2))
 trading_st = arrays(np.float64, H, elements=st.floats(-4.0, 5.0))
 others_st = arrays(np.float64, H, elements=st.floats(0.0, 40.0))
 divisor_st = st.floats(1.0, 5.0)
+
+
+def historical_flat_cost(prices, w, trading, others, multiplicity=1):
+    """The flat Eqn. (2) as it was written before tariffs existed."""
+    total = np.maximum(others + multiplicity * trading, 0.0)
+    return np.where(
+        trading >= 0,
+        prices * total * trading,
+        (prices / w) * total * trading,
+    )
 
 
 class TestBuyRateMonotonicity:
@@ -63,11 +73,11 @@ class TestBuyRateMonotonicity:
         Import slots scale with the buy rate; export slots ignore it
         entirely, so the per-slot cost vector is elementwise monotone.
         """
-        lo = TariffCostModel(
+        lo = NetMeteringCostModel(
             buy_rates=tuple(prices * markup_lo),
             sell_rates=tuple(prices * 0.5),
         )
-        hi = TariffCostModel(
+        hi = NetMeteringCostModel(
             buy_rates=tuple(prices * (markup_lo + markup_hi)),
             sell_rates=tuple(prices * 0.5),
         )
@@ -86,7 +96,7 @@ class TestSellingBranchSign:
         self, prices, trading, others
     ):
         """Default reading: an exporting slot's cost is never positive."""
-        model = TariffCostModel(
+        model = NetMeteringCostModel(
             buy_rates=tuple(prices), sell_rates=tuple(prices * 0.5)
         )
         per_slot = model.customer_cost_per_slot(trading, others)
@@ -99,10 +109,10 @@ class TestSellingBranchSign:
     ):
         """``paper_literal=True`` is an exact sign flip of the selling
         branch — import slots identical, export slots negated, bitwise."""
-        rewarding = TariffCostModel(
+        rewarding = NetMeteringCostModel(
             buy_rates=tuple(prices), sell_rates=tuple(prices * 0.5)
         )
-        literal = TariffCostModel(
+        literal = NetMeteringCostModel(
             buy_rates=tuple(prices),
             sell_rates=tuple(prices * 0.5),
             paper_literal=True,
@@ -119,12 +129,10 @@ class TestSellingBranchSign:
         prices=prices_st, trading=trading_st, others=others_st, w=divisor_st
     )
     def test_legacy_model_sign_toggle_matches(self, prices, trading, others, w):
-        """The legacy class's ``paper_literal`` toggle obeys the same
+        """The flat instance's ``paper_literal`` toggle obeys the same
         pin: selling branch negated, buying branch untouched."""
-        default = NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
-        literal = NetMeteringCostModel(
-            prices=tuple(prices), sellback_divisor=w, paper_literal=True
-        )
+        default = NetMeteringCostModel.flat(prices, w)
+        literal = NetMeteringCostModel.flat(prices, w, paper_literal=True)
         cost_d = default.customer_cost_per_slot(trading, others)
         cost_l = literal.customer_cost_per_slot(trading, others)
         importing = trading >= 0
@@ -144,10 +152,10 @@ class TestExportCap:
         """Compensated quantity is ``max(y, -cap)``: within the cap the
         capped and uncapped models agree bitwise; beyond it the credit
         is the cap quantity's, recomputed independently here."""
-        uncapped = TariffCostModel(
+        uncapped = NetMeteringCostModel(
             buy_rates=tuple(prices), sell_rates=tuple(prices * 0.5)
         )
-        capped = TariffCostModel(
+        capped = NetMeteringCostModel(
             buy_rates=tuple(prices),
             sell_rates=tuple(prices * 0.5),
             export_cap_kwh=cap,
@@ -169,12 +177,12 @@ class TestExportCap:
         prices = np.linspace(0.02, 0.1, H)
         trading = np.full(H, -1.5)
         others = np.full(H, 10.0)
-        cost_c = TariffCostModel(
+        cost_c = NetMeteringCostModel(
             buy_rates=tuple(prices),
             sell_rates=tuple(prices * 0.5),
             export_cap_kwh=1.5,
         ).customer_cost_per_slot(trading, others)
-        cost_u = TariffCostModel(
+        cost_u = NetMeteringCostModel(
             buy_rates=tuple(prices), sell_rates=tuple(prices * 0.5)
         ).customer_cost_per_slot(trading, others)
         assert np.array_equal(cost_c, cost_u)
@@ -187,12 +195,11 @@ class TestFlatEquivalence:
     )
     def test_flat_tariff_is_the_legacy_model(self, prices, trading, others, w):
         """``FlatNetMetering(sellback_divisor=W)`` yields the *identical*
-        legacy cost model — same object type, same per-slot bits."""
-        legacy = NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
+        model ``tariff=None`` prices with — same rates, same per-slot bits."""
+        legacy = NetMeteringCostModel.flat(prices, w)
         from_tariff = FlatNetMetering(sellback_divisor=w).cost_model(
             prices, sellback_divisor=123.0
         )
-        assert isinstance(from_tariff, NetMeteringCostModel)
         assert from_tariff == legacy
         assert np.array_equal(
             from_tariff.customer_cost_per_slot(trading, others),
@@ -203,16 +210,15 @@ class TestFlatEquivalence:
     @given(
         prices=prices_st, trading=trading_st, others=others_st, w=divisor_st
     )
-    def test_from_net_metering_is_bitwise_faithful(
+    def test_flat_model_matches_historical_formula(
         self, prices, trading, others, w
     ):
-        """The generalized model built from a legacy model prices every
-        random community bitwise-identically."""
-        legacy = NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
-        general = TariffCostModel.from_net_metering(legacy)
+        """Selling at the precomputed rate ``p/W`` prices every random
+        community bitwise like the historical ``(p / W) * total * y``."""
+        model = NetMeteringCostModel.flat(prices, w)
         assert np.array_equal(
-            general.customer_cost_per_slot(trading, others),
-            legacy.customer_cost_per_slot(trading, others),
+            model.customer_cost_per_slot(trading, others),
+            historical_flat_cost(prices, w, trading, others),
         )
 
     @settings(max_examples=40, deadline=None)
@@ -226,15 +232,12 @@ class TestFlatEquivalence:
     def test_multiplicity_semantics_match_legacy(
         self, prices, trading, others, w, multiplicity
     ):
-        legacy = NetMeteringCostModel(prices=tuple(prices), sellback_divisor=w)
-        general = TariffCostModel.from_net_metering(legacy)
+        model = NetMeteringCostModel.flat(prices, w)
         assert np.array_equal(
-            general.customer_cost_per_slot(
+            model.customer_cost_per_slot(
                 trading, others, multiplicity=multiplicity
             ),
-            legacy.customer_cost_per_slot(
-                trading, others, multiplicity=multiplicity
-            ),
+            historical_flat_cost(prices, w, trading, others, multiplicity),
         )
 
 
@@ -330,7 +333,7 @@ class TestTimeOfUse:
             peak_multiplier=2.0,
             offpeak_multiplier=1.0,
         ).cost_model(prices, sellback_divisor=2.0)
-        buy = model.price_array
+        buy = model.buy_array
         sell = model.sell_array
         assert np.array_equal(buy[2:5], np.full(3, 0.2))
         assert np.array_equal(buy[:2], np.full(2, 0.1))
@@ -351,7 +354,7 @@ class TestCostTermsBroadcast:
         batch axis reproduces the per-row results bitwise — the identity
         that makes lockstep and sequential solves agree."""
         batch = np.stack([trading, trading * 0.5, -trading])
-        batched = tariff_cost_terms(
+        batched = customer_cost_terms(
             batch,
             others[None, :],
             buy_rates=prices[None, :],
@@ -360,7 +363,7 @@ class TestCostTermsBroadcast:
             paper_literal=False,
         )
         for row in range(batch.shape[0]):
-            single = tariff_cost_terms(
+            single = customer_cost_terms(
                 batch[row],
                 others,
                 buy_rates=prices,
