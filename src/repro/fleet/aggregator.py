@@ -3,7 +3,11 @@
 The :class:`FleetAggregator` is the multi-tenant twin of
 :class:`repro.service.app.DetectionService`: one lock-guarded fleet
 engine behind a threaded stdlib HTTP server, structured 4xx JSON for
-every client error, checkpoint-on-SIGTERM.
+every client error, checkpoint-on-SIGTERM.  The request plumbing and
+the serve loop are the service's own
+(:class:`~repro.service.app.JsonHandler`,
+:func:`~repro.service.app.serve_until_signalled`); this module adds
+only the fleet routes.
 
 Endpoints
 ---------
@@ -31,10 +35,8 @@ Endpoints
 
 from __future__ import annotations
 
-import json
-import signal
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
 
@@ -47,11 +49,13 @@ from repro.obs.scoreboard import ScoreboardPublisher
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
 from repro.service.app import (
+    JsonHandler,
     ServiceError,
     _int_field,
     _int_param,
     _TextResponse,
     read_json_body,
+    serve_until_signalled,
 )
 
 
@@ -195,64 +199,10 @@ class FleetAggregator:
         }
 
 
-class _FleetHandler(BaseHTTPRequestHandler):
-    """JSON-in/JSON-out routing onto the aggregator."""
+class _FleetHandler(JsonHandler):
+    """Routes HTTP verbs/paths onto the aggregator."""
 
     aggregator: FleetAggregator  # set by create_fleet_server()
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
-
-    def _respond(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send_body(status, body, "application/json")
-
-    def _respond_text(self, status: int, response: _TextResponse) -> None:
-        self._send_body(status, response.body.encode("utf-8"), response.content_type)
-
-    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _dispatch(self, method: str) -> None:
-        from urllib.parse import parse_qs, urlparse
-
-        parsed = urlparse(self.path)
-        query = parse_qs(parsed.query)
-        try:
-            payload = self._route(method, parsed.path, query)
-        except ServiceError as exc:
-            self._respond(
-                exc.status,
-                {"error": str(exc), "code": exc.code, "status": exc.status},
-            )
-            return
-        except Exception as exc:  # pragma: no cover - defensive
-            self._respond(
-                500,
-                {
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "code": "internal_error",
-                    "status": 500,
-                },
-            )
-            return
-        if payload is None:
-            self._respond(
-                404,
-                {
-                    "error": f"no route for {method} {parsed.path}",
-                    "code": "not_found",
-                    "status": 404,
-                },
-            )
-        elif isinstance(payload, _TextResponse):
-            self._respond_text(200, payload)
-        else:
-            self._respond(200, payload)
 
     def _route(
         self, method: str, path: str, query: dict[str, list[str]]
@@ -308,12 +258,6 @@ class _FleetHandler(BaseHTTPRequestHandler):
             return None
         return None
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("POST")
-
 
 def create_fleet_server(
     aggregator: FleetAggregator, *, host: str = "127.0.0.1", port: int = 8010
@@ -332,17 +276,6 @@ def run_fleet_service(
 ) -> None:
     """Serve forever; checkpoint and exit cleanly on SIGTERM/SIGINT."""
     server = create_fleet_server(aggregator, host=host, port=port)
-
-    def _shutdown(signum: int, frame: Any) -> None:
-        if aggregator.checkpoint_dir is not None:
-            aggregator.checkpoint()
-        # shutdown() must come from another thread; serve_forever() is
-        # blocking this one via the signal-interrupted frame.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    if install_signals:
-        signal.signal(signal.SIGTERM, _shutdown)
-        signal.signal(signal.SIGINT, _shutdown)
     configure_logging()
     logger = get_logger("fleet.service")
     bound_host, bound_port = server.server_address[0], server.server_address[1]
@@ -353,9 +286,11 @@ def run_fleet_service(
         aggregator.fleet.n_communities,
         len(aggregator.fleet.shard_ids),
     )
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-    if aggregator.checkpoint_dir is not None:
+    checkpointing = aggregator.checkpoint_dir is not None
+    serve_until_signalled(
+        server,
+        checkpoint=aggregator.checkpoint if checkpointing else None,
+        install_signals=install_signals,
+    )
+    if checkpointing:
         logger.info("fleet checkpoint saved to %s", aggregator.checkpoint_dir)

@@ -50,7 +50,7 @@ import signal
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, urlparse
 
 from repro.core.config import RetryPolicy
@@ -384,25 +384,22 @@ class _TextResponse:
         self.content_type = content_type
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs/paths onto the service; JSON in, JSON out
-    (except routes that return a :class:`_TextResponse`)."""
+class JsonHandler(BaseHTTPRequestHandler):
+    """JSON-in/JSON-out request plumbing shared by both HTTP servers.
 
-    service: DetectionService  # set by create_server()
+    Subclasses implement :meth:`_route`: it returns a JSON payload, a
+    :class:`_TextResponse`, or ``None`` for an unknown route (404), and
+    raises :class:`ServiceError` for a client error (structured 4xx).
+    """
 
-    # Silence per-request stderr logging; the service is often run under
-    # pytest or as a background process.
+    # Silence per-request stderr logging; the servers are often run
+    # under pytest or as background processes.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
 
     def _respond(self, status: int, payload: dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
         self._send_body(status, body, "application/json")
-
-    def _respond_text(self, status: int, response: _TextResponse) -> None:
-        self._send_body(
-            status, response.body.encode("utf-8"), response.content_type
-        )
 
     def _send_body(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)
@@ -442,9 +439,26 @@ class _Handler(BaseHTTPRequestHandler):
                 },
             )
         elif isinstance(payload, _TextResponse):
-            self._respond_text(200, payload)
+            self._send_body(200, payload.body.encode("utf-8"), payload.content_type)
         else:
             self._respond(200, payload)
+
+    def _route(
+        self, method: str, path: str, query: dict[str, list[str]]
+    ) -> dict[str, Any] | _TextResponse | None:
+        raise NotImplementedError
+
+    def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        self._dispatch("GET")
+
+    def do_POST(self) -> None:  # noqa: N802 (http.server API)
+        self._dispatch("POST")
+
+
+class _Handler(JsonHandler):
+    """Routes HTTP verbs/paths onto the service."""
+
+    service: DetectionService  # set by create_server()
 
     def _route(
         self, method: str, path: str, query: dict[str, list[str]]
@@ -504,12 +518,6 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return None
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("POST")
-
 
 def _int_param(
     query: dict[str, list[str]], name: str, default: int | None
@@ -543,6 +551,31 @@ def create_server(
     return ThreadingHTTPServer((host, port), handler)
 
 
+def serve_until_signalled(
+    server: ThreadingHTTPServer,
+    *,
+    checkpoint: Callable[[], object] | None,
+    install_signals: bool,
+) -> None:
+    """Serve forever; on SIGTERM/SIGINT run ``checkpoint`` (when given),
+    then shut down cleanly."""
+
+    def _shutdown(signum: int, frame: Any) -> None:
+        if checkpoint is not None:
+            checkpoint()
+        # shutdown() must come from another thread; serve_forever() is
+        # blocking this one via the signal-interrupted frame.
+        threading.Thread(target=server.shutdown, daemon=True).start()
+
+    if install_signals:
+        signal.signal(signal.SIGTERM, _shutdown)
+        signal.signal(signal.SIGINT, _shutdown)
+    try:
+        server.serve_forever()
+    finally:
+        server.server_close()
+
+
 def run_service(
     service: DetectionService,
     *,
@@ -552,24 +585,15 @@ def run_service(
 ) -> None:
     """Serve forever; checkpoint and exit cleanly on SIGTERM/SIGINT."""
     server = create_server(service, host=host, port=port)
-
-    def _shutdown(signum: int, frame: Any) -> None:
-        if service.checkpoint_path is not None:
-            service.checkpoint()
-        # shutdown() must come from another thread; serve_forever() is
-        # blocking this one via the signal-interrupted frame.
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    if install_signals:
-        signal.signal(signal.SIGTERM, _shutdown)
-        signal.signal(signal.SIGINT, _shutdown)
     configure_logging()
     logger = get_logger("service")
     bound_host, bound_port = server.server_address[0], server.server_address[1]
     logger.info("serving detection API on http://%s:%s", bound_host, bound_port)
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-    if service.checkpoint_path is not None:
+    checkpointing = service.checkpoint_path is not None
+    serve_until_signalled(
+        server,
+        checkpoint=service.checkpoint if checkpointing else None,
+        install_signals=install_signals,
+    )
+    if checkpointing:
         logger.info("checkpoint saved to %s", service.checkpoint_path)

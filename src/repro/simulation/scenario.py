@@ -8,12 +8,19 @@ One scenario run couples every subsystem:
    shares of it;
 3. the single-event detector is **calibrated** (Monte-Carlo TP/FP rates)
    and the **POMDP** observation model built from the measured rates;
-4. the per-slot loop runs the ground-truth **hacking process**, collects
+4. the monitoring loop runs the ground-truth **hacking process**, collects
    single-event flags, feeds the flag count to the **long-term detector**
    and applies its repair decisions;
 5. the realized **grid demand** mixes the benign community response with
    the hacked shares' manipulated responses (all cached game solutions),
    giving the PAR column of Table 1.
+
+Steps 1-3 are :func:`build_replay_world`, the one construction of the
+scenario world.  Steps 4-5 are the streaming pipeline
+(:mod:`repro.stream`): :func:`run_long_term_scenario` drains the world's
+replay event stream to exhaustion, and
+:func:`repro.stream.pipeline.build_replay_engine` wraps the same world
+in a resumable engine for the ``stream`` command and checkpoints.
 
 The ``detector="none"`` variant skips the policy (attacks are never
 repaired), reproducing Table 1's "No Detection" column.
@@ -115,53 +122,62 @@ class ScenarioResult:
         return tp, fp
 
 
-def run_long_term_scenario(
+@dataclass
+class ReplayWorld:
+    """Everything one monitored scenario needs, built before its first slot.
+
+    The ``rng`` is the *shared* generator: the replay source draws
+    compromise dynamics from it and the pipeline draws measurement noise
+    from it, interleaved slot by slot in stream order.
+    """
+
+    config: CommunityConfig
+    detector: DetectorKind
+    n_slots: int
+    day_clean_prices: list[NDArray[np.float64]]
+    day_predicted: list[NDArray[np.float64]]
+    day_detectors: list[SingleEventDetector]
+    truth_simulator: CommunityResponseSimulator
+    predicted_simulator: CommunityResponseSimulator
+    hacking: MeterHackingProcess
+    long_term: LongTermDetector | None
+    tp_rate: float
+    fp_rate: float
+    rng: np.random.Generator
+
+    @property
+    def slots_per_day(self) -> int:
+        return self.config.time.slots_per_day
+
+    @property
+    def n_days(self) -> int:
+        return self.n_slots // self.slots_per_day
+
+    @property
+    def n_meters(self) -> int:
+        return self.config.detection.n_monitored_meters
+
+
+def build_replay_world(
     config: CommunityConfig,
     *,
     detector: DetectorKind,
     n_slots: int = 48,
     history: PriceHistory | None = None,
-    policy: Literal["qmdp", "pbvi"] = "qmdp",
+    policy: str = "qmdp",
     calibration_trials: int = 30,
     seed: int | None = None,
     cache: GameSolutionCache | None = None,
     attack_family: str = "peak_increase",
-) -> ScenarioResult:
-    """Run the 48-hour monitored scenario of Section 5.
+) -> ReplayWorld:
+    """Build the scenario world: every step up to the first monitored slot.
 
-    Parameters
-    ----------
-    config:
-        Community and detection parameters.  ``config.time`` must be a
-        one-day grid; the scenario spans ``n_slots`` slots across
-        consecutive days.
-    detector:
-        ``"aware"``, ``"unaware"`` or ``"none"`` (Table 1's three columns;
-        the "none" column keeps monitoring but never repairs).
-    n_slots:
-        Length of the monitoring horizon (48 in the paper's Fig. 6).
-    history:
-        Price history for predictor training; generated when omitted.
-    policy:
-        POMDP policy for the long-term layer.
-    calibration_trials:
-        Monte-Carlo trials per class when measuring the single-event
-        TP/FP rates.
-    seed:
-        Overrides ``config.seed``.
-    cache:
-        Game-solution cache shared by the run's simulators; defaults to
-        the process-global cache, so repeated runs (aggregation seeds,
-        detector variants over the same community, benchmark sessions)
-        solve each distinct game exactly once.  Solutions are
-        content-addressed over the full solve input, so cached runs are
-        numerically identical to cold ones.
-    attack_family:
-        What each compromise campaign installs (see
-        :data:`repro.attacks.hacking.ATTACK_FAMILIES`).  The default is
-        the paper's cheap-window attack through the historical code
-        path; the telemetry families additionally decouple the reading
-        the detector sees from the price the home responded to.
+    The RNG draws happen in a fixed order — community build, history
+    generation, per-day environment, detector calibration, policy
+    seeding — and the generator is handed on in that state, so a world
+    rebuilt from the same arguments (a checkpoint resume) continues the
+    identical stream.  Parameters are those of
+    :func:`run_long_term_scenario`.
     """
     if n_slots < 1:
         raise ValueError(f"n_slots must be >= 1, got {n_slots}")
@@ -171,10 +187,7 @@ def run_long_term_scenario(
     n_days = n_slots // spd
     rng = np.random.default_rng(config.seed if seed is None else seed)
     cache = cache if cache is not None else global_game_cache()
-    scenario_span = TRACER.begin(
-        "scenario.run", detector=str(detector), n_slots=n_slots
-    )
-    setup_span = TRACER.begin("scenario.setup", parent_id=scenario_span)
+    setup_span = TRACER.begin("scenario.setup", parent_id=TRACER.current_span_id)
 
     day_config = config.with_updates(time=replace(config.time, n_days=1))
     community = build_community(day_config, rng=rng)
@@ -308,69 +321,92 @@ def run_long_term_scenario(
         )
         long_term = LongTermDetector(model, policy=chosen_policy)
 
-    # --- per-slot loop -------------------------------------------------------
     TRACER.end(setup_span)
-    truth = np.zeros((n_slots, n_meters), dtype=bool)
-    flags = np.zeros((n_slots, n_meters), dtype=bool)
-    observations = np.zeros(n_slots, dtype=int)
-    repairs = np.zeros(n_slots, dtype=bool)
-    repaired_counts = np.zeros(n_slots, dtype=int)
-    realized_grid = np.zeros(n_slots)
-
-    for slot in range(n_slots):
-        day = slot // spd
-        slot_in_day = slot % spd
-        clean = day_clean_prices[day]
-        with TRACER.span("scenario.slot", slot=slot, day=day):
-            if slot > 0 and slot_in_day == 0:
-                # New day, new guideline-price vector: the attacker rolls a
-                # fresh manipulation of it.
-                hacking.new_campaign()
-            hacking.step()
-            truth[slot] = hacking.hacked_mask
-
-            # ``received`` is what each home responded to; ``reported``
-            # is what its meter told the utility.  Honest families keep
-            # the two bitwise-identical; the telemetry families spoof or
-            # blank the reading, blinding the PAR check.
-            received = np.tile(clean, (n_meters, 1))
-            reported = np.tile(clean, (n_meters, 1))
-            for meter in hacking.hacked_meters:
-                attacked = meter.attack.apply(clean)
-                received[meter.meter_id] = attacked
-                reported[meter.meter_id] = meter.attack.report(clean, attacked)
-            flags[slot] = day_detectors[day].observe_meters(reported, rng=rng)
-            observations[slot] = int(flags[slot].sum())
-
-            # Realized grid demand: each monitored meter stands for 1/n of
-            # the community; hacked shares respond to their manipulated
-            # prices.
-            benign = truth_simulator.response(clean).grid_demand
-            demand = benign[slot_in_day]
-            for meter in hacking.hacked_meters:
-                attacked = truth_simulator.response(
-                    received[meter.meter_id]
-                ).grid_demand
-                demand += (attacked[slot_in_day] - benign[slot_in_day]) / n_meters
-            realized_grid[slot] = max(demand, 0.0)
-
-            if long_term is not None:
-                with TRACER.span("detector.update", observation=int(observations[slot])):
-                    step = long_term.step(observations[slot])
-                if step.repaired:
-                    repaired_counts[slot] = hacking.repair_all()
-                    repairs[slot] = True
-
-    TRACER.end(scenario_span)
-    return ScenarioResult(
+    return ReplayWorld(
+        config=config,
         detector=detector,
-        truth=truth,
-        flags=flags,
-        observations=observations,
-        repairs=repairs,
-        repaired_counts=repaired_counts,
-        realized_grid=realized_grid,
-        slots_per_day=spd,
+        n_slots=n_slots,
+        day_clean_prices=day_clean_prices,
+        day_predicted=day_predicted,
+        day_detectors=day_detectors,
+        truth_simulator=truth_simulator,
+        predicted_simulator=predicted_simulator,
+        hacking=hacking,
+        long_term=long_term,
         tp_rate=tp_rate,
         fp_rate=fp_rate,
+        rng=rng,
     )
+
+
+def run_long_term_scenario(
+    config: CommunityConfig,
+    *,
+    detector: DetectorKind,
+    n_slots: int = 48,
+    history: PriceHistory | None = None,
+    policy: Literal["qmdp", "pbvi"] = "qmdp",
+    calibration_trials: int = 30,
+    seed: int | None = None,
+    cache: GameSolutionCache | None = None,
+    attack_family: str = "peak_increase",
+) -> ScenarioResult:
+    """Run the 48-hour monitored scenario of Section 5.
+
+    The world from :func:`build_replay_world` is drained as a replay
+    event stream through the online pipeline
+    (:func:`repro.stream.pipeline.build_replay_engine` builds the same
+    engine for resumable runs).
+
+    Parameters
+    ----------
+    config:
+        Community and detection parameters.  ``config.time`` must be a
+        one-day grid; the scenario spans ``n_slots`` slots across
+        consecutive days.
+    detector:
+        ``"aware"``, ``"unaware"`` or ``"none"`` (Table 1's three columns;
+        the "none" column keeps monitoring but never repairs).
+    n_slots:
+        Length of the monitoring horizon (48 in the paper's Fig. 6).
+    history:
+        Price history for predictor training; generated when omitted.
+    policy:
+        POMDP policy for the long-term layer.
+    calibration_trials:
+        Monte-Carlo trials per class when measuring the single-event
+        TP/FP rates.
+    seed:
+        Overrides ``config.seed``.
+    cache:
+        Game-solution cache shared by the run's simulators; defaults to
+        the process-global cache, so repeated runs (aggregation seeds,
+        detector variants over the same community, benchmark sessions)
+        solve each distinct game exactly once.  Solutions are
+        content-addressed over the full solve input, so cached runs are
+        numerically identical to cold ones.
+    attack_family:
+        What each compromise campaign installs (see
+        :data:`repro.attacks.hacking.ATTACK_FAMILIES`).  The default is
+        the paper's cheap-window attack through the historical code
+        path; the telemetry families additionally decouple the reading
+        the detector sees from the price the home responded to.
+    """
+    # Imported here: the pipeline module imports ScenarioResult.
+    from repro.stream.pipeline import _replay_engine
+
+    with TRACER.span("scenario.run", detector=str(detector), n_slots=n_slots):
+        world = build_replay_world(
+            config,
+            detector=detector,
+            n_slots=n_slots,
+            history=history,
+            policy=policy,
+            calibration_trials=calibration_trials,
+            seed=seed,
+            cache=cache,
+            attack_family=attack_family,
+        )
+        engine = _replay_engine(world, build_spec={"detector": detector})
+        engine.run()
+        return engine.result()

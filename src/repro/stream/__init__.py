@@ -1,9 +1,9 @@
 """Event-sourced online detection engine (the streaming front of the repo).
 
-The batch path (:mod:`repro.simulation.scenario`) rebuilds the world and
-runs the whole monitoring horizon in one call.  This package turns the
-same computation into a long-running *stream*: an event source emits
-ordered :class:`~repro.stream.events.PriceUpdate` /
+The batch scenario (:mod:`repro.simulation.scenario`) is one drain of
+this package's replay engine; the same engine also runs as a
+long-running *stream*: an event source emits ordered
+:class:`~repro.stream.events.PriceUpdate` /
 :class:`~repro.stream.events.MeterReading` /
 :class:`~repro.stream.events.DayBoundary` events, an incremental
 detector pipeline folds each event into per-slot detection decisions,

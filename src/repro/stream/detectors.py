@@ -1,8 +1,8 @@
 """Incremental (per-event) wrappers around the batch detection stack.
 
-The batch scenario builds every day's detector up front and loops over
-slots; a stream cannot.  These state machines hold exactly the state one
-event needs to advance:
+A replay world builds every day's detector up front; a live stream
+cannot.  These state machines hold exactly the state one event needs to
+advance:
 
 - :class:`IncrementalSingleEvent` — binds the SVR/PAR single-event
   detector to the current day on each
@@ -41,8 +41,9 @@ class IncrementalSingleEvent:
     Two operating modes:
 
     - **replay** — ``prebuilt`` holds one :class:`SingleEventDetector`
-      per day (constructed by the replay world exactly as the batch
-      scenario does), and ``start_day`` just selects the day's instance;
+      per day (constructed by
+      :func:`~repro.simulation.scenario.build_replay_world`), and
+      ``start_day`` just selects the day's instance;
     - **live** — detectors are constructed on the fly from the day's
       predicted prices against the provided community simulators, which
       is what the synthetic source and the HTTP push path use.

@@ -1,8 +1,8 @@
 """The online detection pipeline and the event-pump engine.
 
-:class:`OnlinePipeline` is the incremental mirror of the batch
-scenario's per-slot loop: each :class:`~repro.stream.events.PriceUpdate`
-binds the single-event detector to the new day, each
+:class:`OnlinePipeline` is the scenario's monitoring loop, one event at
+a time: each :class:`~repro.stream.events.PriceUpdate` binds the
+single-event detector to the new day, each
 :class:`~repro.stream.events.MeterReading` produces per-meter flags, a
 POMDP observation, a belief update and a monitor/repair action — one
 :class:`SlotDetection` per slot, appended to the pipeline's timeline.
@@ -10,8 +10,10 @@ POMDP observation, a belief update and a monitor/repair action — one
 :class:`StreamEngine` couples a source with a pipeline and pumps events
 through it, routing repair decisions back to the source (the feedback
 edge of the paper's Figure 2 loop) and exposing whole-run state capture
-for the checkpoint layer.  :func:`build_replay_engine` yields an engine
-whose detection timeline is bitwise-identical to the batch scenario;
+for the checkpoint layer.  :func:`build_replay_engine` wraps the world
+of :func:`repro.simulation.scenario.build_replay_world` in an engine —
+the same engine :func:`~repro.simulation.scenario.run_long_term_scenario`
+drains, so a resumable stream and the batch scenario are one code path;
 :func:`build_synthetic_engine` yields a lightweight scripted engine for
 the service layer and examples.
 """
@@ -34,7 +36,12 @@ from repro.detection.solvers import QmdpPolicy
 from repro.obs.trace import TRACER
 from repro.perf.counters import PERF
 from repro.simulation.cache import GameSolutionCache, global_game_cache
-from repro.simulation.scenario import DetectorKind, ScenarioResult
+from repro.simulation.scenario import (
+    DetectorKind,
+    ReplayWorld,
+    ScenarioResult,
+    build_replay_world,
+)
 from repro.stream.detectors import IncrementalMonitor, IncrementalSingleEvent
 from repro.stream.events import (
     AttackOccurrence,
@@ -50,7 +57,6 @@ from repro.stream.source import (
     ReplaySource,
     ScriptedOccurrence,
     SyntheticSource,
-    build_replay_world,
 )
 
 if TYPE_CHECKING:  # runtime import stays lazy to keep faults optional
@@ -146,7 +152,7 @@ class OnlinePipeline:
     rng:
         Measurement-noise stream for the per-meter checks.  For replay
         engines this is the *shared* world generator (interleaved with
-        the hacking process exactly as in the batch loop).
+        the source's hacking process in stream order).
     slots_per_day:
         Day length, for slot/day bookkeeping.
     grid_simulator:
@@ -478,8 +484,8 @@ class OnlinePipeline:
     def _realized_grid(self, reading: MeterReading) -> float | None:
         """Realized grid demand: benign response plus hacked-share deltas.
 
-        Identical arithmetic (and identical summation order: ascending
-        meter id) to the batch scenario's per-slot accounting.
+        Each monitored meter stands for ``1/n`` of the community; hacked
+        shares add their deltas in ascending meter id.
         """
         if (
             reading.truth is None
@@ -724,7 +730,7 @@ class StreamEngine:
         return self.source if isinstance(self.source, FaultInjector) else None
 
     # ------------------------------------------------------------------
-    def result(self, *, slots_per_day: int | None = None) -> ScenarioResult:
+    def result(self) -> ScenarioResult:
         """Assemble the timeline into a batch-compatible ScenarioResult.
 
         Requires a complete, truth-scored timeline (replay engines).
@@ -732,7 +738,6 @@ class StreamEngine:
         timeline = self.pipeline.timeline
         if not timeline:
             raise RuntimeError("empty timeline: run the engine first")
-        spd = slots_per_day if slots_per_day is not None else self.pipeline.slots_per_day
         for i, det in enumerate(timeline):
             if det.slot != i:
                 raise RuntimeError(f"timeline gap: expected slot {i}, got {det.slot}")
@@ -758,7 +763,7 @@ class StreamEngine:
                 [det.repaired_count for det in timeline], dtype=int
             ),
             realized_grid=np.array([det.realized_grid for det in timeline]),
-            slots_per_day=spd,
+            slots_per_day=self.pipeline.slots_per_day,
             tp_rate=self.tp_rate,
             fp_rate=self.fp_rate,
         )
@@ -802,14 +807,15 @@ def build_replay_engine(
     retry: RetryPolicy | None = None,
     attack_family: str = "peak_increase",
 ) -> StreamEngine:
-    """Scenario-equivalent streaming engine.
+    """Resumable streaming engine over the scenario world.
 
-    Pumping this engine to exhaustion and calling :meth:`StreamEngine.result`
-    reproduces :func:`~repro.simulation.scenario.run_long_term_scenario`
-    bit for bit (same flags, observations, repair actions and realized
-    grid) — the equivalence test in ``tests/test_stream_equivalence.py``
-    asserts exactly that.  Passing ``faults`` wraps the source in a
-    seeded :class:`~repro.faults.injector.FaultInjector` (see
+    This is the engine :func:`~repro.simulation.scenario.run_long_term_scenario`
+    drains, plus a build spec that lets the checkpoint layer rebuild it:
+    pumping it to exhaustion — in one run or across a checkpoint resume —
+    and calling :meth:`StreamEngine.result` gives the batch scenario's
+    result bit for bit (``tests/test_stream_equivalence.py``).  Passing
+    ``faults`` wraps the source in a seeded
+    :class:`~repro.faults.injector.FaultInjector` (see
     :meth:`StreamEngine.install_faults`).
     """
     world = build_replay_world(
@@ -822,12 +828,41 @@ def build_replay_engine(
         cache=cache,
         attack_family=attack_family,
     )
-    source = ReplaySource(world)
+    build_spec = {
+        "kind": "replay",
+        "config": config_to_dict(config),
+        "detector": detector,
+        "n_slots": n_slots,
+        "policy": policy,
+        "calibration_trials": calibration_trials,
+        "seed": seed,
+    }
+    if attack_family != "peak_increase":
+        build_spec["attack_family"] = attack_family
+    engine = _replay_engine(world, build_spec, retry=retry)
+    if faults is not None:
+        engine.install_faults(faults)
+    return engine
+
+
+def _replay_engine(
+    world: ReplayWorld,
+    build_spec: dict[str, Any],
+    *,
+    retry: RetryPolicy | None = None,
+) -> StreamEngine:
+    """Wire a scenario world into a replay source, pipeline and engine.
+
+    ``build_spec`` is what a checkpoint persists to rebuild the world;
+    an engine that is never checkpointed needs only its ``detector``
+    (read by :meth:`StreamEngine.result`).
+    """
+    detection = world.config.detection
     single_event = IncrementalSingleEvent(
         world.truth_simulator,
         predicted_simulator=world.predicted_simulator,
-        threshold=config.detection.par_threshold,
-        margin_noise_std=config.detection.margin_noise_std,
+        threshold=detection.par_threshold,
+        margin_noise_std=detection.margin_noise_std,
         prebuilt=world.day_detectors,
     )
     monitor = (
@@ -840,19 +875,8 @@ def build_replay_engine(
         slots_per_day=world.slots_per_day,
         grid_simulator=world.truth_simulator,
     )
-    build_spec = {
-        "kind": "replay",
-        "config": config_to_dict(config),
-        "detector": detector,
-        "n_slots": n_slots,
-        "policy": policy,
-        "calibration_trials": calibration_trials,
-        "seed": seed,
-    }
-    if attack_family != "peak_increase":
-        build_spec["attack_family"] = attack_family
-    engine = StreamEngine(
-        source,
+    return StreamEngine(
+        ReplaySource(world),
         pipeline,
         rng=world.rng,
         build_spec=build_spec,
@@ -860,9 +884,6 @@ def build_replay_engine(
         fp_rate=world.fp_rate,
         retry=retry,
     )
-    if faults is not None:
-        engine.install_faults(faults)
-    return engine
 
 
 def build_synthetic_engine(

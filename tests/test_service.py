@@ -1,6 +1,8 @@
 """Tests for the HTTP monitoring service (stdlib server, real sockets)."""
 
 import json
+import os
+import signal
 import threading
 import urllib.error
 import urllib.request
@@ -15,7 +17,12 @@ from repro.core.config import (
     SolarConfig,
     TimeGrid,
 )
-from repro.service.app import DetectionService, ServiceError, create_server
+from repro.service.app import (
+    DetectionService,
+    ServiceError,
+    create_server,
+    serve_until_signalled,
+)
 from repro.simulation.cache import GameSolutionCache
 from repro.stream.checkpoint import resume_engine
 from repro.stream.events import event_to_dict
@@ -225,3 +232,34 @@ class TestConcurrentAdvance:
         assert slots == sorted(slots)
         assert len(slots) == len(set(slots))
         assert len(slots) == service.engine.pipeline.n_slots_processed
+
+
+def test_sigterm_checkpoints_then_stops_serving(tiny_config, tmp_path):
+    """The serve loop both servers share: SIGTERM saves a checkpoint of
+    the state reached, then the server stops and returns."""
+    engine = build_synthetic_engine(
+        tiny_config, n_days=4, attack_days=(1, 3), cache=GameSolutionCache()
+    )
+    path = tmp_path / "service.json"
+    service = DetectionService(engine, checkpoint_path=path)
+    server = create_server(service, port=0)
+    base = f"http://127.0.0.1:{server.server_address[1]}"
+
+    def drive() -> None:
+        try:
+            _post(base, "/advance", {"until_day": 1})
+        finally:
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    previous = {sig: signal.getsignal(sig) for sig in (signal.SIGTERM, signal.SIGINT)}
+    driver = threading.Thread(target=drive, daemon=True)
+    driver.start()
+    try:
+        serve_until_signalled(server, checkpoint=service.checkpoint, install_signals=True)
+    finally:
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)
+    driver.join(timeout=10)
+    assert not driver.is_alive()
+    assert engine.pipeline.days_completed == 1
+    assert resume_engine(path).events_processed == engine.events_processed

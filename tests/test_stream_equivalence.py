@@ -1,10 +1,10 @@
 """Stream-vs-batch equivalence: the replay engine must reproduce
 ``run_long_term_scenario`` bit for bit.
 
-This is the streaming subsystem's core invariant: one shared RNG,
-interleaved between the hacking process (event generation) and the
-single-event detector (measurement noise) in the exact order of the
-batch per-slot loop, makes every detection decision identical.
+The batch scenario is a drain of the replay engine, so this pins the
+builder's contract: ``build_replay_engine`` must build the world the
+scenario builds (solver, tariff, attack family, seed, policy), and a
+checkpoint resume must continue it exactly.
 """
 
 import numpy as np
@@ -16,10 +16,12 @@ from repro.core.config import (
     DetectionConfig,
     GameConfig,
     SolarConfig,
+    SolverConfig,
     TimeGrid,
 )
 from repro.simulation.cache import GameSolutionCache
 from repro.simulation.scenario import run_long_term_scenario
+from repro.stream.checkpoint import resume_engine, save_checkpoint
 from repro.stream.pipeline import build_replay_engine
 
 
@@ -126,3 +128,47 @@ def test_stepwise_pumping_equals_bulk_run(tiny_config, cache):
     assert [d.to_dict() for d in bulk.timeline] == [
         d.to_dict() for d in stepped.timeline
     ]
+
+
+WARM_START = SolverConfig(warm_start=True, warm_start_max_distance=10.0)
+
+
+@pytest.mark.parametrize(
+    ("detector", "solver", "attack_family"),
+    [
+        ("aware", WARM_START, "peak_increase"),
+        ("unaware", WARM_START, "peak_increase"),
+        ("aware", None, "telemetry_spoof"),
+        ("aware", None, "meter_outage"),
+    ],
+    ids=["warm-aware", "warm-unaware", "telemetry_spoof", "meter_outage"],
+)
+def test_replay_drain_and_resume_match_batch(
+    tiny_config, cache, tmp_path, detector, solver, attack_family
+):
+    """Straight through and across a checkpoint cut, the replay engine
+    equals the batch run for a non-default solver and the telemetry
+    attack families."""
+    config = tiny_config if solver is None else tiny_config.with_updates(solver=solver)
+    kwargs = dict(
+        detector=detector,
+        n_slots=48,
+        calibration_trials=5,
+        cache=cache,
+        attack_family=attack_family,
+    )
+    batch = run_long_term_scenario(config, **kwargs)
+
+    drained = build_replay_engine(config, **kwargs)
+    drained.run()
+    _assert_bitwise_equal(batch, drained.result())
+
+    cut_engine = build_replay_engine(config, **kwargs)
+    cut = int(np.random.default_rng(7).integers(1, cut_engine.source.n_events))
+    cut_engine.run(max_events=cut)
+    path = save_checkpoint(cut_engine, tmp_path / "cut.json")
+    resumed = resume_engine(path, cache=cache)
+    assert resumed.events_processed == cut
+    resumed.run()
+    assert resumed.exhausted
+    _assert_bitwise_equal(batch, resumed.result())
